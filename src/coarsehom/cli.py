@@ -735,8 +735,7 @@ def cmd_run(args, out):
 
     parser = build_parser()
 
-    def eval_task(idx_task):
-        idx, task = idx_task
+    def task_args(task):
         op = task.get("op")
         argv = [op, args.workspace]
         for key, val in sorted(task.items()):
@@ -747,12 +746,18 @@ def cmd_run(args, out):
         if op == "fuzz":
             argv = [op] + argv[2:]
         argv.extend(["--format", args.format])
-        sub_args = parser.parse_args(argv)
+        return parser.parse_args(argv)
+
+    # every task's arguments are parsed, and bad ones rejected, before any task runs
+    parsed = [task_args(task) for task in tasks]
+
+    def eval_task(idx_task):
+        idx, sub_args = idx_task
         buf = _StringBuffer()
         rc = sub_args.fn(sub_args, buf)
         return idx, rc, buf.value()
 
-    indexed = list(enumerate(tasks))
+    indexed = list(enumerate(parsed))
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             results = sorted(pool.map(eval_task, indexed))
@@ -777,6 +782,17 @@ class _StringBuffer:
         return "".join(self.parts)
 
 
+def _degree(text):
+    """argparse type of --degree and --max-degree: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {n}")
+    return n
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="coarsehom",
@@ -798,12 +814,12 @@ def build_parser():
     ws_cmd(
         "homology",
         cmd_homology,
-        **{"--name": dict(default=None), "--max-degree": dict(type=int, default=3)},
+        **{"--name": dict(default=None), "--max-degree": dict(type=_degree, default=3)},
     )
     ws_cmd(
         "induced-map",
         cmd_induced_map,
-        **{"--name": dict(default=None), "--max-degree": dict(type=int, default=3)},
+        **{"--name": dict(default=None), "--max-degree": dict(type=_degree, default=3)},
     )
     ws_cmd("check-covering", cmd_check_covering, **{"--name": dict(default=None)})
     ws_cmd("check-square", cmd_check_square, **{"--name": dict(default=None)})
@@ -817,7 +833,7 @@ def build_parser():
         cmd_check_axioms,
         **{
             "--name": dict(default=None),
-            "--max-degree": dict(type=int, default=2),
+            "--max-degree": dict(type=_degree, default=2),
             "--witness": dict(default=None),
             "--window": dict(type=int, default=16),
         },
@@ -828,7 +844,7 @@ def build_parser():
         **{
             "--group": dict(default=None),
             "--family": dict(default="all"),
-            "--max-degree": dict(type=int, default=1),
+            "--max-degree": dict(type=_degree, default=1),
         },
     )
     ws_cmd(
@@ -837,7 +853,7 @@ def build_parser():
         **{
             "--group": dict(default=None),
             "--family": dict(default="all"),
-            "--degree": dict(type=int, default=0),
+            "--degree": dict(type=_degree, default=0),
         },
     )
     ws_cmd("run", cmd_run)

@@ -20,12 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InternalCheckError, OutOfScopeError, ValidationError
-from .snf import (
-    AbHom,
-    FPAbGroup,
-    mat_vec,
-    smith_normal_form,
-)
+from .snf import AbHom, FPAbGroup, smith_normal_form
 from .spaces import BornCoarseSpace
 from .spans import Span
 
@@ -80,14 +75,6 @@ def scols_eq(A_cols, B_cols):
     return True
 
 
-def scols_dense(cols, nrows):
-    out = [[0] * len(cols) for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            out[i][j] = v
-    return out
-
-
 def scols_apply(cols, vec, nrows):
     out = [0] * nrows
     for j, col in enumerate(cols):
@@ -121,8 +108,8 @@ class SpaceComplex:
         # slice = G-orbit of coarse components, read off the first entry
         comp_orbit = {}
         nslices = 0
-        for ci, comp in enumerate(X.components()):
-            if ci in comp_orbit:
+        for comp in X.components():
+            if X.coarse.block[comp[0]] in comp_orbit:
                 continue
             labels = {X.coarse.block[X.carrier.act(g, comp[0])] for g in X.group.elements()}
             for label in labels:
@@ -169,10 +156,10 @@ class SpaceComplex:
         """Kernel/quotient data per slice, assembled into one canonical
         global presentation; cached.
 
-        Per slice: diagonalize d_n = U D V^-1; the kernel lattice is
-        spanned by the V-columns at non-pivot positions, and the rows of
-        V^-1 at those positions extract kernel coordinates, so boundary
-        images and cycle classes need no per-column solves.
+        Per slice: diagonalize d_n = U^-1 D V^-1; the kernel lattice is
+        spanned by the V-columns at non-pivot positions (kept sparse), and
+        the V^-1-coordinates of a chain are read off the columns of V^-1,
+        so boundary images and cycle classes need no per-column solves.
         """
         if n in self._hom:
             return self._hom[n]
@@ -190,9 +177,9 @@ class SpaceComplex:
 
             if n == 0:
                 kernel_cols = list(range(m_local))
-                K = [[1 if i == j else 0 for j in kernel_cols] for i in range(m_local)]
-                extractor = [[1 if i == j else 0 for j in range(m_local)] for i in kernel_cols]
-                pivot_extractor = []
+                K = [{j: 1} for j in kernel_cols]
+                vinv_cols = [{j: 1} for j in kernel_cols]
+                pivot_cols = set()
             else:
                 upper_rows = [i for i, sl in enumerate(self.slice_of[n - 1]) if sl == s]
                 upos = {r: k for k, r in enumerate(upper_rows)}
@@ -204,16 +191,18 @@ class SpaceComplex:
                 res = smith_normal_form(dense, len(upper_rows), m_local, track_v=True)
                 pivot_cols = {pj for (_pi, pj) in res.pivots}
                 kernel_cols = [j for j in range(m_local) if j not in pivot_cols]
-                K = [[res.V[i][j] for j in kernel_cols] for i in range(m_local)]
-                extractor = [res.Vinv[j] for j in kernel_cols]
-                pivot_extractor = [res.Vinv[j] for j in sorted(pivot_cols)]
+                K = [res.v_cols[j] for j in kernel_cols]
+                vinv_cols = [{} for _ in range(m_local)]
+                for r, vinv_row in enumerate(res.vinv_rows):
+                    for k, v in vinv_row.items():
+                        vinv_cols[k][r] = v
             kdim = len(kernel_cols)
-            solver = _CycleCoords(extractor, pivot_extractor, row_pos, m_local)
+            solver = _CycleCoords(vinv_cols, pivot_cols, kernel_cols, row_pos)
 
             dnp1 = self.boundary_cols(n + 1)
             img_coords = []
             for j in cols_np1:
-                x = solver.coords_sparse(dnp1[j])
+                x = solver.coords(dnp1[j])
                 if x is None:
                     raise InternalCheckError("boundary image is not a cycle")
                 img_coords.append(x)
@@ -245,7 +234,7 @@ class SpaceComplex:
                 continue
             for local_vec in sl.fp.canonical_generators():
                 chain = [0] * len(self.bases[n])
-                loc = mat_vec(sl.K, local_vec)
+                loc = scols_apply(sl.K, local_vec, len(sl.rows))
                 for k, r in enumerate(sl.rows):
                     chain[r] = loc[k]
                 cycles.append(chain)
@@ -257,36 +246,33 @@ class SpaceComplex:
 class _CycleCoords:
     """Kernel coordinates of cycles in one slice.
 
-    ``coords_sparse`` takes a chain as a sparse column over global row
-    indices; a chain is a cycle iff the pivot coordinates vanish, in
-    which case the kernel-basis coordinates are returned.
+    The V^-1-coordinates of a chain c are sum_k c_k (column k of V^-1);
+    c is a cycle iff they vanish at every pivot position, and then the
+    coordinates at the kernel positions are its coordinates in the
+    kernel basis.
     """
 
-    def __init__(self, extractor, pivot_extractor, row_pos, m):
-        self.extractor = extractor
-        self.pivot_extractor = pivot_extractor
+    def __init__(self, vinv_cols, pivot_cols, kernel_cols, row_pos):
+        self.vinv_cols = vinv_cols
+        self.pivot_cols = pivot_cols
+        self.kernel_cols = kernel_cols
         self.row_pos = row_pos
-        self.m = m
 
-    def coords_sparse(self, col):
-        local = {}
-        for i, v in col.items():
+    def coords(self, col):
+        """Kernel coordinates of a chain given as a sparse column over
+        global row indices, or None if it is not a cycle of this slice."""
+        acc = {}
+        for i, c in col.items():
+            if not c:
+                continue
             k = self.row_pos.get(i)
             if k is None:
-                if v:
-                    return None  # support outside the slice
-                continue
-            local[k] = v
-        for row in self.pivot_extractor:
-            if sum(row[k] * v for k, v in local.items()):
-                return None
-        return [sum(row[k] * v for k, v in local.items()) for row in self.extractor]
-
-    def coords_dense_local(self, b):
-        for row in self.pivot_extractor:
-            if sum(r * v for r, v in zip(row, b)):
-                return None
-        return [sum(r * v for r, v in zip(row, b)) for row in self.extractor]
+                return None  # support outside the slice
+            for r, w in self.vinv_cols[k].items():
+                acc[r] = acc.get(r, 0) + c * w
+        if any(v and r in self.pivot_cols for r, v in acc.items()):
+            return None
+        return [acc.get(j, 0) for j in self.kernel_cols]
 
 
 class _SliceHom:
@@ -313,8 +299,7 @@ class _HomologyGroup:
         for sl in self.slices:
             if sl.fp is None:
                 continue
-            b = [chain[r] for r in sl.rows]
-            x = sl.solver.coords_dense_local(b)
+            x = sl.solver.coords({r: chain[r] for r in sl.rows})
             if x is None:
                 raise ValidationError("chain is not a cycle")
             red = sl.fp.reduce(x)

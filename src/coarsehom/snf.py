@@ -3,6 +3,12 @@ magnitude pivoting, integer kernels and solvers, finitely presented
 abelian groups, and decision procedures for homomorphisms between them
 (injectivity, surjectivity, isomorphism, split injectivity).
 
+The transforms U, U^-1, V and V^-1 are stored sparse, each in the
+orientation its updates touch (rows of U and V^-1, columns of U^-1 and
+V), so a row or column operation costs the nonzeros of one row or
+column of each transform.  Dense list-of-rows views exist for tests and
+diagnostics only.
+
 Everything runs over Python's arbitrary-precision integers; entries
 grow under elimination and must not be truncated.
 """
@@ -10,6 +16,7 @@ grow under elimination and must not be truncated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InternalCheckError, ValidationError
 
@@ -52,22 +59,36 @@ def mat_eq(A, B):
     return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
 
 
-def mat_scale(A, c):
-    return [[c * v for v in row] for row in A]
-
-
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
-def transpose(A):
-    if not A:
-        return []
-    return [list(col) for col in zip(*A)]
+# -- sparse vectors (dicts index -> nonzero entry) ---------------------------
+
+
+def _addmul(target, src, q):
+    """target += q * src."""
+    if not q:
+        return
+    for k, v in src.items():
+        x = target.get(k, 0) + q * v
+        if x:
+            target[k] = x
+        else:
+            del target[k]
+
+
+def _dense_vec(vec, n):
+    out = [0] * n
+    for i, v in vec.items():
+        out[i] = v
+    return out
+
+
+def _dense_square(vecs, n, columns):
+    """Dense list-of-rows form of n sparse rows, or of n sparse columns."""
+    rows = [_dense_vec(v, n) for v in vecs]
+    return [list(r) for r in zip(*rows)] if columns else rows
 
 
 # -- sparse Smith normal form ------------------------------------------------
@@ -112,20 +133,43 @@ class SNFResult:
 
     divisors: the nonzero diagonal of D in divisibility order d1 | d2 | ...
     pivots:   (row, col) positions of the diagonal in the original indexing.
+
+    The transforms are stored sparse, as dicts index -> nonzero entry:
+    ``u_rows[i]`` is row i of U, ``uinv_cols[i]`` column i of U^-1,
+    ``v_cols[j]`` column j of V and ``vinv_rows[j]`` row j of V^-1; each
+    is None when not tracked.  ``U``, ``Uinv``, ``V`` and ``Vinv`` are
+    dense list-of-rows views, built on first access, for tests and
+    diagnostics (None when not tracked).
     """
 
     m: int
     n: int
     divisors: list
     pivots: list
-    U: list = None
-    Uinv: list = None
-    V: list = None
-    Vinv: list = None
+    u_rows: list = None
+    uinv_cols: list = None
+    v_cols: list = None
+    vinv_rows: list = None
 
     @property
     def rank(self):
         return len(self.divisors)
+
+    @cached_property
+    def U(self):
+        return None if self.u_rows is None else _dense_square(self.u_rows, self.m, columns=False)
+
+    @cached_property
+    def Uinv(self):
+        return None if self.uinv_cols is None else _dense_square(self.uinv_cols, self.m, columns=True)
+
+    @cached_property
+    def V(self):
+        return None if self.v_cols is None else _dense_square(self.v_cols, self.n, columns=True)
+
+    @cached_property
+    def Vinv(self):
+        return None if self.vinv_rows is None else _dense_square(self.vinv_rows, self.n, columns=False)
 
 
 def smith_normal_form(dense, m=None, n=None, track_u=False, track_v=False):
@@ -141,41 +185,33 @@ def smith_normal_form(dense, m=None, n=None, track_u=False, track_v=False):
     if n is None:
         n = len(dense[0]) if dense else 0
     A = _Sparse(dense, m, n)
-    U = mat_identity(m) if track_u else None
-    Uinv = mat_identity(m) if track_u else None
-    V = mat_identity(n) if track_v else None
-    Vinv = mat_identity(n) if track_v else None
+    U = [{i: 1} for i in range(m)] if track_u else None  # rows
+    Uinv = [{i: 1} for i in range(m)] if track_u else None  # columns
+    V = [{j: 1} for j in range(n)] if track_v else None  # columns
+    Vinv = [{j: 1} for j in range(n)] if track_v else None  # rows
 
     def row_addmul(k, i, q):
         """row_k += q * row_i, with U := E U and Uinv := Uinv E^{-1}."""
         for j, v in list(A.rows.get(i, {}).items()):
             A.set(k, j, A.get(k, j) + q * v)
         if track_u:
-            Ui, Uk = U[i], U[k]
-            for j in range(m):
-                Uk[j] += q * Ui[j]
-            for r in range(m):
-                Uinv[r][i] -= q * Uinv[r][k]
+            _addmul(U[k], U[i], q)
+            _addmul(Uinv[i], Uinv[k], -q)
 
     def col_addmul(l, j, q):
         """col_l += q * col_j, with V := V E and Vinv := E^{-1} Vinv."""
         for i in list(A.cols.get(j, set())):
             A.set(i, l, A.get(i, l) + q * A.rows[i][j])
         if track_v:
-            for i in range(n):
-                V[i][l] += q * V[i][j]
-            Vl, Vj = Vinv[l], Vinv[j]
-            for i in range(n):
-                Vj[i] -= q * Vl[i]
+            _addmul(V[l], V[j], q)
+            _addmul(Vinv[j], Vinv[l], -q)
 
     def negate_row(i):
         for j in list(A.rows.get(i, {})):
             A.rows[i][j] = -A.rows[i][j]
         if track_u:
-            for j in range(m):
-                U[i][j] = -U[i][j]
-            for r in range(m):
-                Uinv[r][i] = -Uinv[r][i]
+            U[i] = {j: -v for j, v in U[i].items()}
+            Uinv[i] = {r: -v for r, v in Uinv[i].items()}
 
     active_rows = set(range(m))
     active_cols = set(range(n))
@@ -278,30 +314,38 @@ def kernel_basis(dense, m=None, n=None):
         n = len(dense[0]) if dense else 0
     res = smith_normal_form(dense, m, n, track_v=True)
     pivot_cols = {pj for (_pi, pj) in res.pivots}
-    return [[res.V[i][j] for i in range(n)] for j in range(n) if j not in pivot_cols]
+    return [_dense_vec(res.v_cols[j], n) for j in range(n) if j not in pivot_cols]
 
 
 def solve_int(dense, b, m=None, n=None):
-    """One integer solution of A x = b, or None."""
+    """One integer solution of A x = b, or None.
+
+    With U A V = D: y = D^-1 (U b) where it is integral and the non-pivot
+    rows of U b vanish, and x = V y.
+    """
     if m is None:
         m = len(dense)
     if n is None:
         n = len(dense[0]) if dense else 0
     res = smith_normal_form(dense, m, n, track_u=True, track_v=True)
-    ub = mat_vec(res.U, list(b))
-    pivot_rows = {pi: idx for idx, (pi, _pj) in enumerate(res.pivots)}
-    ycols = [0] * n
-    for i in range(m):
-        idx = pivot_rows.get(i)
-        if idx is None:
-            if ub[i] != 0:
+    b = list(b)
+    pivot_of_row = {pi: (pj, d) for (pi, pj), d in zip(res.pivots, res.divisors)}
+    x = [0] * n
+    for i, row in enumerate(res.u_rows):
+        ub = sum(u * b[k] for k, u in row.items())
+        pivot = pivot_of_row.get(i)
+        if pivot is None:
+            if ub != 0:
                 return None
-        else:
-            d = res.divisors[idx]
-            if ub[i] % d != 0:
-                return None
-            ycols[res.pivots[idx][1]] = ub[i] // d
-    return mat_vec(res.V, ycols)
+            continue
+        pj, d = pivot
+        if ub % d != 0:
+            return None
+        y = ub // d
+        if y:
+            for r, v in res.v_cols[pj].items():
+                x[r] += y * v
+    return x
 
 
 def lattice_contains(gens_cols, v):
@@ -337,8 +381,8 @@ class FPAbGroup:
         self._coord_divisor = [
             res.divisors[order[i]] if i in order else 0 for i in range(self.ngens)
         ]
-        self._U = res.U
-        self._Uinv = res.Uinv
+        self._u_rows = res.u_rows
+        self._uinv_cols = res.uinv_cols
         self.torsion = sorted(d for d in res.divisors if d > 1)
         self.rank = self.ngens - res.rank
 
@@ -347,16 +391,13 @@ class FPAbGroup:
         coordinates reduced mod their divisor, killed coordinates zeroed."""
         if len(v) != self.ngens:
             raise ValidationError("element has wrong length")
-        y = mat_vec(self._U, list(v))
         out = []
-        for i in range(self.ngens):
-            d = self._coord_divisor[i]
+        for row, d in zip(self._u_rows, self._coord_divisor):
             if d == 1:
                 out.append(0)
-            elif d > 1:
-                out.append(y[i] % d)
-            else:
-                out.append(y[i])
+                continue
+            y = sum(u * v[k] for k, u in row.items())
+            out.append(y % d if d > 1 else y)
         return tuple(out)
 
     def is_zero(self, v):
@@ -390,7 +431,7 @@ class FPAbGroup:
         for i in range(self.ngens):
             d = self._coord_divisor[i]
             if d == 0 or d > 1:
-                gens.append([self._Uinv[r][i] for r in range(self.ngens)])
+                gens.append(_dense_vec(self._uinv_cols[i], self.ngens))
         return gens
 
     def describe(self):
@@ -437,7 +478,7 @@ class AbHom:
         return [k[:a] for k in ker]
 
     def is_injective(self):
-        return all(lattice_contains(self.src.relations, p) for p in self._preimage_lattice())
+        return all(self.src.is_zero(p) for p in self._preimage_lattice())
 
     def is_surjective(self):
         b = self.dst.ngens

@@ -275,3 +275,43 @@ def test_point_homology_task(tmp_path):
     rc, out = run_cli(["run", str(p)])
     assert rc == 0
     assert "0       1     -" in out or "0  1  -" in out.replace("   ", "  ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mackey-table", FIXTURE, "--max-degree", "-1"],
+        ["homology", FIXTURE, "--name", "Y", "--max-degree", "-1"],
+        ["induced-map", FIXTURE, "--name", "tr", "--max-degree", "-1"],
+        ["check-axioms", FIXTURE, "--name", "Y", "--max-degree", "-1"],
+        ["assembly", FIXTURE, "--group", "c2", "--degree", "-1"],
+    ],
+)
+def test_negative_degree_rejected_at_parse_time(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be a non-negative integer, got -1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "task",
+    [
+        {"op": "mackey-table", "group": "c2", "max_degree": -1},
+        {"op": "assembly", "group": "c2", "degree": -1},
+    ],
+)
+def test_negative_degree_in_run_task_rejected(tmp_path, task):
+    with open(FIXTURE) as fh:
+        doc = json.load(fh)
+    doc["tasks"] = [doc["tasks"][0], task]
+    p = tmp_path / "negative.json"
+    p.write_text(json.dumps(doc))
+    cmd = [sys.executable, "-m", "coarsehom.cli", "run", str(p)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=".")
+    assert proc.returncode == 2
+    assert proc.stdout == ""  # rejected before the valid first task runs
+    assert "must be a non-negative integer" in proc.stderr
+    assert "Traceback" not in proc.stderr

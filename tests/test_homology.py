@@ -2,7 +2,7 @@ import pytest
 from random import Random
 
 from oracles import brute_force_homology
-from coarsehom.errors import OutOfScopeError, ValidationError
+from coarsehom.errors import InternalCheckError, OutOfScopeError, ValidationError
 from coarsehom.groups import GSet, trivial_gset
 from coarsehom.homology import (
     SpaceComplex,
@@ -24,6 +24,8 @@ from coarsehom.homology import (
 )
 from coarsehom.randgen import FuzzConfig, random_composable_spans, random_space
 from coarsehom.spaces import (
+    BornCoarseSpace,
+    CoarseStructure,
     bounded_union,
     coproduct,
     empty_space,
@@ -114,6 +116,36 @@ def test_homology_free_c2_torsion(free2):
     X = maximal_space(free2)
     assert homology(X, 3).degrees == ((1, ()), (0, (2,)), (0, ()), (0, (2,)))
     assert brute_force_homology(X, 3) == ((1, ()), (0, (2,)), (0, ()), (0, (2,)))
+
+
+def test_homology_does_not_depend_on_block_labels(c2):
+    gs = trivial_gset(c2, 3)
+    relabelled = BornCoarseSpace(gs, CoarseStructure(3, (1, 1, 0)))
+    canonical = BornCoarseSpace(gs, CoarseStructure(3, (0, 0, 1)))
+    assert homology(canonical, 2).degrees[0] == (2, ())
+    assert homology(relabelled, 2) == homology(canonical, 2)
+
+
+def test_class_of_rejects_non_cycle(triv):
+    cx = SpaceComplex(maximal_space(trivial_gset(triv, 3)), 1)
+    chain = [0] * len(cx.bases[1])
+    chain[cx.index[1][(0, 1)]] = 1  # boundary (1) - (0) is not zero
+    with pytest.raises(ValidationError):
+        cx.homology_data(1).class_of(chain)
+
+
+def test_corrupted_boundary_trips_cycle_self_check(triv, monkeypatch):
+    cx = SpaceComplex(maximal_space(trivial_gset(triv, 3)), 1)
+    not_a_cycle = {cx.index[1][(0, 1)]: 1}
+    real = SpaceComplex.boundary_cols
+
+    def corrupted(self, n):
+        cols = real(self, n)
+        return [not_a_cycle] + cols[1:] if n == 2 else cols
+
+    monkeypatch.setattr(SpaceComplex, "boundary_cols", corrupted)
+    with pytest.raises(InternalCheckError, match="not a cycle"):
+        cx.homology_data(1)
 
 
 def test_chain_table_validation(free2_min, c2):

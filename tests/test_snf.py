@@ -27,6 +27,22 @@ small_matrices = st.integers(0, 4).flatmap(
 )
 
 
+@st.composite
+def wide_sparse_systems(draw):
+    """Sparse m x n systems with m <= 12 and n up to 150: the shapes of
+    the split-injectivity solves (few rows, many unknowns)."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 150))
+    rng = draw(st.randoms(use_true_random=False))
+    A = [[0] * n for _ in range(m)]
+    for j in range(n):  # each unknown occurs in at most three equations
+        for i in rng.sample(range(m), min(m, rng.randint(0, 3))):
+            A[i][j] = rng.choice((-3, -2, -1, 1, 2, 3))
+    x = [rng.randint(-2, 2) for _ in range(n)]
+    b = [rng.randint(-3, 3) for _ in range(m)]
+    return A, x, b
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_matrices)
 def test_smith_diagonalizes_with_unimodular_transforms(A):
@@ -42,6 +58,37 @@ def test_smith_diagonalizes_with_unimodular_transforms(A):
     assert mat_eq(mat_mul(res.V, res.Vinv), mat_identity(n))
     for a, b in zip(res.divisors, res.divisors[1:]):
         assert a > 0 and b % a == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(wide_sparse_systems())
+def test_sparse_transforms_on_wide_systems(system):
+    A, x, b = system
+    m, n = len(A), len(A[0])
+    res = smith_normal_form(A, m, n, track_u=True, track_v=True)
+    D = mat_mul(mat_mul(res.U, A), res.V)
+    at = {p: d for p, d in zip(res.pivots, res.divisors)}
+    for i in range(m):
+        for j in range(n):
+            assert D[i][j] == at.get((i, j), 0)
+    assert mat_eq(mat_mul(res.U, res.Uinv), mat_identity(m))
+    assert mat_eq(mat_mul(res.V, res.Vinv), mat_identity(n))
+    for a, c in zip(res.divisors, res.divisors[1:]):
+        assert a > 0 and c % a == 0
+    ax = mat_vec(A, x)
+    sol = solve_int(A, ax, m, n)
+    assert sol is not None and mat_vec(A, sol) == ax
+    sol = solve_int(A, b, m, n)
+    assert sol is None or mat_vec(A, sol) == b
+    for k in kernel_basis(A, m, n):
+        assert not any(mat_vec(A, k))
+
+
+def test_untracked_transforms_have_no_views():
+    res = smith_normal_form([[2, 4], [6, 8]])
+    assert res.U is res.Uinv is res.V is res.Vinv is None
+    res = smith_normal_form([[2, 4], [6, 8]], track_v=True)
+    assert res.U is None and res.V is not None
 
 
 @settings(max_examples=80, deadline=None)
