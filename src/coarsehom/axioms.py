@@ -12,7 +12,7 @@ for some i.  Flasqueness is witness-based and lives in the tape module
 from __future__ import annotations
 
 from .errors import InternalCheckError, ValidationError
-from .groups import GSet
+from .groups import GSet, _trusted
 from .snf import AbHom, FPAbGroup
 from .spaces import (
     BornCoarseSpace,
@@ -53,7 +53,7 @@ def subspace(X: BornCoarseSpace, A):
     action = tuple(
         tuple(pos[X.carrier.act(g, p)] for p in pts) for g in X.group.elements()
     )
-    carrier = GSet(X.group, len(pts), action)
+    carrier = _trusted(GSet, X.group, len(pts), action)
     labels = {}
     block = []
     for p in pts:
@@ -61,7 +61,8 @@ def subspace(X: BornCoarseSpace, A):
         if lbl not in labels:
             labels[lbl] = len(labels)
         block.append(labels[lbl])
-    sub = BornCoarseSpace(carrier, CoarseStructure(len(pts), tuple(block)), name=f"{X.name}|A")
+    # an invariant structure restricted to an invariant subset stays invariant
+    sub = _trusted(BornCoarseSpace, carrier, CoarseStructure(len(pts), tuple(block)), f"{X.name}|A")
     return sub, tuple(pts)
 
 

@@ -5,15 +5,20 @@ One self-describing JSON schema (versioned, "schema": 1) covers all
 entities; see the README for the full format.  Exit codes: 0 success,
 2 validation failure, 3 out-of-scope request, 4 internal invariant
 breach.  Reports are byte-identical across runs for identical input,
-seed and format, regardless of the thread count.
+seed and format.
+
+A workspace document is parsed and validated once per command line, by
+``parse_workspace``; every command, and every task of ``run``, works on
+that one ``Workspace``.  Malformed documents are reported with JSON
+pointers and exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from random import Random
 
@@ -36,6 +41,7 @@ class Workspace:
     maps: dict = field(default_factory=dict)
     spans: dict = field(default_factory=dict)
     squares: dict = field(default_factory=dict)
+    tasks: list = field(default_factory=list)
 
 
 class _Errors:
@@ -50,6 +56,28 @@ class _Errors:
             raise ValidationError("; ".join(self.items))
 
 
+def _section(doc, key, errs):
+    """The entries of a top-level section as (pointer, name, entry); a
+    section or an entry that is not a JSON object is reported instead."""
+    section = doc.get(key) or {}
+    if not isinstance(section, dict):
+        errs.add(f"/{key}", "must be a JSON object")
+        return []
+    out = []
+    for name, entry in section.items():
+        if isinstance(entry, dict):
+            out.append((f"/{key}/{name}", name, entry))
+        else:
+            errs.add(f"/{key}/{name}", "must be a JSON object")
+    return out
+
+
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    return value
+
+
 def parse_workspace(doc):
     """Resolve and validate a workspace document.  Raises ValidationError
     carrying every collected problem with its JSON-pointer location."""
@@ -60,8 +88,7 @@ def parse_workspace(doc):
         errs.add("/schema", "missing or unsupported schema version (expected 1)")
     ws = Workspace()
 
-    for name, entry in (doc.get("groups") or {}).items():
-        ptr = f"/groups/{name}"
+    for ptr, name, entry in _section(doc, "groups", errs):
         try:
             if "preset" in entry:
                 preset = entry["preset"]
@@ -76,8 +103,7 @@ def parse_workspace(doc):
         except (ValidationError, TypeError, KeyError) as e:
             errs.add(ptr, str(e))
 
-    for name, entry in (doc.get("gsets") or {}).items():
-        ptr = f"/gsets/{name}"
+    for ptr, name, entry in _section(doc, "gsets", errs):
         try:
             grp = ws.groups.get(entry.get("group"))
             if grp is None:
@@ -96,11 +122,10 @@ def parse_workspace(doc):
         except (ValidationError, TypeError, ValueError, KeyError) as e:
             errs.add(ptr, str(e))
 
-    for name, entry in (doc.get("spaces") or {}).items():
-        ptr = f"/spaces/{name}"
+    for ptr, name, entry in _section(doc, "spaces", errs):
         try:
             if "tape" in entry:
-                t = entry["tape"]
+                t = _object(entry["tape"], "tape")
                 fiber = ws.spaces.get(t.get("fiber"))
                 if fiber is None or not isinstance(fiber, SP.BornCoarseSpace):
                     errs.add(ptr + "/tape/fiber", "unknown or non-finite fiber space")
@@ -116,11 +141,11 @@ def parse_workspace(doc):
             if gs is None:
                 errs.add(ptr + "/gset", f"unknown gset {entry.get('gset')!r}")
                 continue
-            born = (entry.get("bornology") or {}).get("preset", "full")
+            born = _object(entry.get("bornology") or {}, "bornology").get("preset", "full")
             if born != "full":
                 errs.add(ptr + "/bornology", "finite carriers force the full power set")
                 continue
-            coarse = entry.get("coarse") or {"preset": "minimal"}
+            coarse = _object(entry.get("coarse") or {"preset": "minimal"}, "coarse")
             if coarse.get("preset") == "minimal":
                 ws.spaces[name] = SP.minimal_space(gs, name=name)
             elif coarse.get("preset") == "maximal":
@@ -137,8 +162,7 @@ def parse_workspace(doc):
         except (ValidationError, TypeError, ValueError, KeyError) as e:
             errs.add(ptr, str(e))
 
-    for name, entry in (doc.get("maps") or {}).items():
-        ptr = f"/maps/{name}"
+    for ptr, name, entry in _section(doc, "maps", errs):
         try:
             src = ws.spaces.get(entry.get("src"))
             dst = ws.spaces.get(entry.get("dst"))
@@ -149,6 +173,8 @@ def parse_workspace(doc):
                 kind = entry.get("kind")
                 fm = tuple(entry.get("fiber_images", ()))
                 ws.maps[name] = TP.TapeMap(kind, src, dst, fm, int(entry.get("shift", 0)))
+            elif not isinstance(dst, SP.BornCoarseSpace):
+                errs.add(ptr + "/dst", "a map from a finite space must target a finite space")
             else:
                 images = tuple(entry["images"])
                 G.require_equivariant(images, src.carrier, dst.carrier, f"map {name}")
@@ -156,8 +182,7 @@ def parse_workspace(doc):
         except (ValidationError, TypeError, ValueError, KeyError) as e:
             errs.add(ptr, str(e))
 
-    for name, entry in (doc.get("spans") or {}).items():
-        ptr = f"/spans/{name}"
+    for ptr, name, entry in _section(doc, "spans", errs):
         try:
             srcn, apexn, dstn = entry["src"], entry["apex"], entry["dst"]
             src, apex, dst = (ws.spaces.get(k) for k in (srcn, apexn, dstn))
@@ -167,7 +192,7 @@ def parse_workspace(doc):
                 errs.add(ptr, "dangling reference")
                 continue
             if isinstance(apex, TP.TapeSpace):
-                ws.spans[name] = SPN.make_span(src, apex, dst, left, right, validate=True)
+                ws.spans[name] = SPN.make_span(src, apex, dst, left, right)
             else:
                 if left[1] != apexn or left[2] != srcn:
                     errs.add(ptr + "/left", "left map must run apex -> src")
@@ -175,23 +200,37 @@ def parse_workspace(doc):
                 if right[1] != apexn or right[2] != dstn:
                     errs.add(ptr + "/right", "right map must run apex -> dst")
                     continue
-                ws.spans[name] = SPN.make_span(src, apex, dst, left[3], right[3], validate=True)
+                ws.spans[name] = SPN.make_span(src, apex, dst, left[3], right[3])
         except (ValidationError, TypeError, ValueError, KeyError) as e:
             errs.add(ptr, str(e))
 
-    for name, entry in (doc.get("squares") or {}).items():
-        ptr = f"/squares/{name}"
+    for ptr, name, entry in _section(doc, "squares", errs):
         try:
             sp = [ws.spaces.get(entry.get(k)) for k in ("W", "U", "V", "Z")]
             mp = [ws.maps.get(entry.get(k)) for k in ("f", "w", "g", "u")]
             if None in sp or None in mp:
                 errs.add(ptr, "dangling reference")
                 continue
+            if not all(isinstance(x, SP.BornCoarseSpace) for x in sp):
+                errs.add(ptr, "squares are checked on finite spaces only")
+                continue
             ws.squares[name] = SPN.AdmissibleSquareCandidate(
                 sp[0], sp[1], sp[2], sp[3], mp[0][3], mp[1][3], mp[2][3], mp[3][3]
             )
         except (ValidationError, TypeError, ValueError, KeyError) as e:
             errs.add(ptr, str(e))
+
+    tasks = doc.get("tasks") or []
+    if not isinstance(tasks, list):
+        errs.add("/tasks", "must be a JSON array")
+        tasks = []
+    for i, task in enumerate(tasks):
+        if not isinstance(task, dict) or not isinstance(task.get("op"), str):
+            errs.add(f"/tasks/{i}", "must be a JSON object with a string 'op'")
+        elif task["op"] == "run":
+            errs.add(f"/tasks/{i}/op", "a task cannot run the task list")
+        else:
+            ws.tasks.append(task)
 
     errs.raise_if_any()
     return ws
@@ -249,8 +288,7 @@ def emit(report, fmt, out):
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_homology(args, out):
-    ws = load_workspace(args.workspace)
+def cmd_homology(args, ws, out):
     name, X = _pick(ws.spaces, args.name, "space")
     if isinstance(X, TP.TapeSpace):
         raise OutOfScopeError("homology of tape spaces is out of scope")
@@ -276,8 +314,7 @@ def cmd_homology(args, out):
     return 0
 
 
-def cmd_induced_map(args, out):
-    ws = load_workspace(args.workspace)
+def cmd_induced_map(args, ws, out):
     name, span = _pick(ws.spans, args.name, "span")
     if not span.is_finite():
         raise OutOfScopeError("induced maps need finite carriers")
@@ -301,8 +338,7 @@ def cmd_induced_map(args, out):
     return 0
 
 
-def cmd_check_covering(args, out):
-    ws = load_workspace(args.workspace)
+def cmd_check_covering(args, ws, out):
     name, mp = _pick(ws.maps, args.name, "map")
     if isinstance(mp, TP.TapeMap):
         ok, diag = SPN.is_bounded_covering(mp, mp.src, mp.dst)
@@ -327,8 +363,7 @@ def cmd_check_covering(args, out):
     return 0
 
 
-def cmd_check_square(args, out):
-    ws = load_workspace(args.workspace)
+def cmd_check_square(args, ws, out):
     name, sq = _pick(ws.squares, args.name, "square")
     ok, diag = SPN.is_admissible(sq)
     emit(
@@ -346,8 +381,7 @@ def cmd_check_square(args, out):
     return 0
 
 
-def cmd_compose(args, out):
-    ws = load_workspace(args.workspace)
+def cmd_compose(args, ws, out):
     if args.left not in ws.spans or args.right not in ws.spans:
         raise ValidationError("compose needs --left and --right span names from the workspace")
     s1, s2 = ws.spans[args.left], ws.spans[args.right]
@@ -376,8 +410,7 @@ def cmd_compose(args, out):
     return 0
 
 
-def cmd_check_axioms(args, out):
-    ws = load_workspace(args.workspace)
+def cmd_check_axioms(args, ws, out):
     name, X = _pick(ws.spaces, args.name, "space")
     if isinstance(X, TP.TapeSpace):
         if not args.witness:
@@ -387,8 +420,7 @@ def cmd_check_axioms(args, out):
         wmap = ws.maps.get(args.witness)
         if not isinstance(wmap, TP.TapeMap):
             raise ValidationError("witness must name a tape map")
-        probes = (0, 4, getattr(args, "window", 16))
-        ok, diag = TP.check_flasque_witness(X, wmap, probe_windows=probes)
+        ok, diag = TP.check_flasque_witness(X, wmap)
         emit(
             {
                 "title": f"flasqueness witness on {name}",
@@ -404,36 +436,34 @@ def cmd_check_axioms(args, out):
     N = args.max_degree
     checks = []
 
-    def run_all():
-        cx = SpaceComplex(X, N)
-        checks.append(("d.d = 0", cx.check_dd_zero(), ""))
-        ok, v = AX.check_coarse_invariance(X, N)
-        checks.append(("coarse invariance", ok, f"degrees {v}"))
-        ok, k = AX.check_u_continuity(X, N)
-        checks.append(("u-continuity", ok, f"stabilizes at generator {k}"))
-        for sz in (2, 3):
-            I = G.trivial_gset(X.group, sz)
-            checks.append((f"weak transfers |I|={sz}", AX.check_weak_transfers(X, I, N), ""))
-        # alternate G-orbits of components into Z and its complement; both
-        # sides are invariant and coarsely closed, forming a valid pair
-        comps = X.components()
-        seen = set()
-        orbit_blocks = []
-        for ci, comp in enumerate(comps):
-            if ci in seen:
-                continue
-            labels = {X.coarse.block[X.carrier.act(g, comp[0])] for g in X.group.elements()}
-            seen |= labels
-            orbit_blocks.append(sorted(p for l in labels for p in comps[l]))
-        Zpart = sorted(p for i, blk in enumerate(orbit_blocks) if i % 2 == 0 for p in blk)
-        Ypart = sorted(set(range(X.size)) - set(Zpart))
-        if X.size:
-            ok, v = AX.check_excision(X, Zpart, [Ypart], N)
-            checks.append(("excision (component pair)", ok, f"degrees {v}"))
-        okf, diagf = TP.check_flasque_witness(X, None)
-        checks.append(("flasque via identity", not okf if X.size else okf, diagf))
+    cx = SpaceComplex(X, N)
+    checks.append(("d.d = 0", cx.check_dd_zero(), ""))
+    ok, v = AX.check_coarse_invariance(X, N)
+    checks.append(("coarse invariance", ok, f"degrees {v}"))
+    ok, k = AX.check_u_continuity(X, N)
+    checks.append(("u-continuity", ok, f"stabilizes at generator {k}"))
+    for sz in (2, 3):
+        I = G.trivial_gset(X.group, sz)
+        checks.append((f"weak transfers |I|={sz}", AX.check_weak_transfers(X, I, N), ""))
+    # alternate G-orbits of components into Z and its complement; both
+    # sides are invariant and coarsely closed, forming a valid pair
+    comps = X.components()
+    seen = set()
+    orbit_blocks = []
+    for ci, comp in enumerate(comps):
+        if ci in seen:
+            continue
+        labels = {X.coarse.block[X.carrier.act(g, comp[0])] for g in X.group.elements()}
+        seen |= labels
+        orbit_blocks.append(sorted(p for l in labels for p in comps[l]))
+    Zpart = sorted(p for i, blk in enumerate(orbit_blocks) if i % 2 == 0 for p in blk)
+    Ypart = sorted(set(range(X.size)) - set(Zpart))
+    if X.size:
+        ok, v = AX.check_excision(X, Zpart, [Ypart], N)
+        checks.append(("excision (component pair)", ok, f"degrees {v}"))
+    okf, diagf = TP.check_flasque_witness(X, None)
+    checks.append(("flasque via identity", not okf if X.size else okf, diagf))
 
-    run_all()
     rows = [[c, "PASS" if ok else "FAIL", d] for (c, ok, d) in checks]
     emit(
         {
@@ -474,8 +504,7 @@ def _family_by_name(group, label):
     raise ValidationError(f"unknown family {label!r} (use all, sol, triv, or a file path)")
 
 
-def cmd_mackey_table(args, out):
-    ws = load_workspace(args.workspace)
+def cmd_mackey_table(args, ws, out):
     name, grp = _pick(ws.groups, args.group, "group")
     family = _family_by_name(grp, args.family)
     reps = [H for H in G.subgroup_class_representatives(grp) if H in family]
@@ -538,8 +567,7 @@ def cmd_mackey_table(args, out):
     return 0
 
 
-def cmd_assembly(args, out):
-    ws = load_workspace(args.workspace)
+def cmd_assembly(args, ws, out):
     name, grp = _pick(ws.groups, args.group, "group")
     family = _family_by_name(grp, args.family)
     r = MK.assembly(grp, family, args.degree)
@@ -650,7 +678,7 @@ def _fuzz_case_mackey(case):
     return True
 
 
-def cmd_fuzz(args, out):
+def cmd_fuzz(args, _ws, out):
     rng = Random(args.seed)
     cfg = RG.FuzzConfig(max_points=6, max_component=3, max_copies=2)
     suites = ["spans", "chains", "axioms", "mackey"] if args.suite == "all" else [args.suite]
@@ -683,12 +711,7 @@ def cmd_fuzz(args, out):
             "axioms": _fuzz_case_axioms,
             "mackey": _fuzz_case_mackey,
         }[suite]
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                results = list(pool.map(runner, cases))
-        else:
-            results = [runner(c) for c in cases]
-        passed = sum(1 for r in results if r)
+        passed = sum(1 for c in cases if runner(c))
         rows.append([suite, args.cases, passed, args.cases - passed])
     emit(
         {
@@ -706,80 +729,30 @@ def cmd_fuzz(args, out):
     return 0 if all(r[3] == 0 for r in rows) else 4
 
 
-TASK_OPS = {}
-
-
-def _task_op(name):
-    def reg(fn):
-        TASK_OPS[name] = fn
-        return fn
-
-    return reg
-
-
-def cmd_run(args, out):
-    """Execute the workspace's task list in declaration order.
-
-    Tasks may be evaluated in parallel (--threads), but reports are
-    emitted in declaration order, so output is thread-count independent.
-    """
-    try:
-        with open(args.workspace) as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise ValidationError(f"cannot read {args.workspace}: {e}")
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{args.workspace}: JSON syntax error: {e}")
-    tasks = doc.get("tasks") or []
-    parse_workspace(doc)  # every entity passes its validator before any task runs
-
+def cmd_run(args, ws, out):
+    """Execute the workspace's task list in declaration order, every task
+    on the one parsed workspace.  Every task's arguments are parsed, and
+    bad ones rejected, before any task runs; the reports are written once
+    every task has run."""
     parser = build_parser()
 
     def task_args(task):
-        op = task.get("op")
-        argv = [op, args.workspace]
+        op = task["op"]
+        argv = [op] if op == "fuzz" else [op, args.workspace]
         for key, val in sorted(task.items()):
-            if key == "op":
-                continue
-            flag = "--" + key.replace("_", "-")
-            argv.extend([flag, str(val)])
-        if op == "fuzz":
-            argv = [op] + argv[2:]
+            if key != "op":
+                argv.extend(["--" + key.replace("_", "-"), str(val)])
         argv.extend(["--format", args.format])
         return parser.parse_args(argv)
 
-    # every task's arguments are parsed, and bad ones rejected, before any task runs
-    parsed = [task_args(task) for task in tasks]
-
-    def eval_task(idx_task):
-        idx, sub_args = idx_task
-        buf = _StringBuffer()
-        rc = sub_args.fn(sub_args, buf)
-        return idx, rc, buf.value()
-
-    indexed = list(enumerate(parsed))
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = sorted(pool.map(eval_task, indexed))
-    else:
-        results = [eval_task(it) for it in indexed]
+    parsed = [task_args(task) for task in ws.tasks]
+    buf = io.StringIO()
     worst = 0
-    for idx, rc, text in results:
-        out.write(f"== task {idx}: {tasks[idx].get('op')} ==\n")
-        out.write(text)
-        worst = max(worst, rc)
+    for idx, (task, sub_args) in enumerate(zip(ws.tasks, parsed)):
+        buf.write(f"== task {idx}: {task['op']} ==\n")
+        worst = max(worst, sub_args.fn(sub_args, ws, buf))
+    out.write(buf.getvalue())
     return worst
-
-
-class _StringBuffer:
-    def __init__(self):
-        self.parts = []
-
-    def write(self, s):
-        self.parts.append(s)
-
-    def value(self):
-        return "".join(self.parts)
 
 
 def _degree(text):
@@ -800,7 +773,6 @@ def build_parser():
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    common.add_argument("--threads", type=int, default=1)
     sub = p.add_subparsers(dest="command", required=True)
 
     def ws_cmd(name, fn, **extra):
@@ -835,7 +807,6 @@ def build_parser():
             "--name": dict(default=None),
             "--max-degree": dict(type=_degree, default=2),
             "--witness": dict(default=None),
-            "--window": dict(type=int, default=16),
         },
     )
     ws_cmd(
@@ -865,11 +836,18 @@ def build_parser():
     return p
 
 
+def dispatch(args, out):
+    """Run a parsed command line; a workspace command's document is
+    loaded and validated here, once."""
+    ws = load_workspace(args.workspace) if "workspace" in args else None
+    return args.fn(args, ws, out)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args, sys.stdout)
+        return dispatch(args, sys.stdout)
     except ValidationError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return 2

@@ -3,16 +3,35 @@ lattices with conjugacy data, separating families, and orbit categories.
 
 Everything is index-based: group elements are 0..order-1, G-set points
 are 0..size-1.  All values are immutable after construction.
+
+Validation happens once, where outside data enters: the public
+constructors ``Group(...)`` and ``GSet(...)`` (and, for documents, the
+CLI's ``parse_workspace``).  G-sets derived from validated ones (cosets,
+unions, products, fiber products) are valid by construction and are
+built through ``_trusted``, which skips the validator; functions that
+take raw arguments keep a cheap check on those.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from math import isqrt
 
 from .errors import ValidationError
 
 Subgroup = frozenset
+
+
+def _trusted(cls, *values):
+    """An instance of the frozen dataclass ``cls`` from its field values,
+    built without running ``__post_init__``: only for objects that are
+    valid by construction from validated ones.  Omitted trailing fields
+    take their defaults."""
+    obj = object.__new__(cls)
+    for i, f in enumerate(fields(cls)):
+        object.__setattr__(obj, f.name, values[i] if i < len(values) else f.default)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -238,30 +257,47 @@ class GSet:
 
 
 def trivial_gset(group, size):
+    if size < 0:
+        raise ValidationError(f"a G-set cannot have negative size {size}")
     action = tuple(tuple(range(size)) for _ in group.elements())
-    return GSet(group, size, action)
+    return _trusted(GSet, group, size, action)
+
+
+def _cosets(group, H):
+    """The left cosets xH in the point order of ``coset_gset`` (by minimal
+    element): (their minimal elements, the coset index of every element).
+    Scanning in increasing order, the first element of a new coset is its
+    minimum."""
+    reps, where = [], {}
+    for x in group.elements():
+        if x not in where:
+            for h in H:
+                where[group.mul(x, h)] = len(reps)
+            reps.append(x)
+    return reps, where
 
 
 def coset_gset(group, H):
     """The transitive G-set G/H, cosets ordered by minimal element."""
     H = frozenset(H)
+    bad = [h for h in H if not (isinstance(h, int) and 0 <= h < group.order)]
+    if bad:
+        raise ValidationError(f"coset space: {bad[0]!r} is not an element of the group")
     if not is_subgroup(group, H):
         raise ValidationError("coset space requires a subgroup")
-    cosets = []
-    seen = set()
-    for x in group.elements():
-        if x in seen:
-            continue
-        cs = frozenset(group.mul(x, h) for h in H)
-        seen.update(cs)
-        cosets.append(cs)
-    cosets.sort(key=min)
-    index = {cs: i for i, cs in enumerate(cosets)}
+    reps, where = _cosets(group, H)
     action = tuple(
-        tuple(index[frozenset(group.mul(g, y) for y in cs)] for cs in cosets)
-        for g in group.elements()
+        tuple(where[group.mul(g, x)] for x in reps) for g in group.elements()
     )
-    return GSet(group, len(cosets), action)
+    return _trusted(GSet, group, len(reps), action)
+
+
+def coset_map(group, H, K, g):
+    """Images of the map G/H -> G/K, xH -> xgK, on the coset indices of
+    ``coset_gset`` (well defined when g^-1 H g <= K)."""
+    reps, _ = _cosets(group, H)
+    _, where = _cosets(group, K)
+    return tuple(where[group.mul(x, g)] for x in reps)
 
 
 def disjoint_union_gsets(parts):
@@ -281,7 +317,7 @@ def disjoint_union_gsets(parts):
         for p, off in zip(parts, offsets):
             row.extend(off + y for y in p.action[g])
         action.append(tuple(row))
-    return GSet(G, total, tuple(action)), offsets
+    return _trusted(GSet, G, total, tuple(action)), offsets
 
 
 def product_gset(a, b):
@@ -297,11 +333,24 @@ def product_gset(a, b):
         )
         for g in G.elements()
     )
-    return GSet(G, a.size * b.size, action)
+    return _trusted(GSet, G, a.size * b.size, action)
+
+
+def fiber_product_gset(A, a, B, b):
+    """The G-set {(x, y) | a(x) = b(y)} of two equivariant maps into one
+    G-set, with the diagonal action; returns it with its points (x, y)
+    in lexicographic order.  The legs must already be known equivariant."""
+    pts = [(x, y) for x in range(A.size) for y in range(B.size) if a[x] == b[y]]
+    index = {p: k for k, p in enumerate(pts)}
+    action = tuple(
+        tuple(index[(A.action[g][x], B.action[g][y])] for (x, y) in pts)
+        for g in A.group.elements()
+    )
+    return _trusted(GSet, A.group, len(pts), action), pts
 
 
 def is_equivariant(f, src: GSet, dst: GSet):
-    if len(f) != src.size:
+    if len(f) != src.size or any(not (0 <= y < dst.size) for y in f):
         return False
     G = src.group
     return all(
@@ -488,18 +537,19 @@ def family_generated_by(group, seeds, name="F"):
     return SubgroupFamily(group, frozenset(members), name=name)
 
 
+def _is_prime(n):
+    return n > 1 and all(n % p for p in range(2, isqrt(n) + 1))
+
+
 def is_separating(group, family: SubgroupFamily):
     """True iff for every H normal in K with K/H of prime order,
     H and K lie on the same side of the family."""
     if family.group != group:
         raise ValidationError("family belongs to a different group")
     subs = all_subgroups(group)
-    primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59}
     for K in subs:
         for H in subs:
-            if not (H < K):
-                continue
-            if len(K) // len(H) not in primes or len(K) % len(H) != 0:
+            if not (H < K) or not _is_prime(len(K) // len(H)):
                 continue
             if not is_normal_in(group, H, K):
                 continue
@@ -557,41 +607,18 @@ def orbit_category(group, family="all"):
         family = family_all(group)
     reps = family.class_representatives()
     objects = tuple(coset_gset(group, H) for H in reps)
+    cosets = [_cosets(group, H) for H in reps]
     homs = {}
     for i, H in enumerate(reps):
         for j, K in enumerate(reps):
-            maps = set()
-            for g in group.elements():
-                gi = group.inv(g)
-                if all(group.conj(gi, h) in K for h in H):
-                    # xH -> xgK, realized on coset indices
-                    maps.add(_coset_map(group, H, K, g, objects[i], objects[j]))
+            # xH -> xgK on coset indices, for every g with g^-1 H g <= K
+            where = cosets[j][1]
+            maps = {
+                tuple(where[group.mul(x, g)] for x in cosets[i][0])
+                for g in group.elements()
+                if all(group.conj(group.inv(g), h) in K for h in H)
+            }
             homs[(i, j)] = tuple(
                 OrbitMorphism(i, j, m) for m in sorted(maps)
             )
     return OrbitCategory(group, tuple(reps), objects, homs)
-
-
-def _coset_map(group, H, K, g, src: GSet, dst: GSet):
-    """Images of the map xH -> xgK on coset indices."""
-    # rebuild coset lists in the same canonical order as coset_gset
-    def cosets(S):
-        out, seen = [], set()
-        for x in group.elements():
-            if x in seen:
-                continue
-            cs = frozenset(group.mul(x, s) for s in S)
-            seen.update(cs)
-            out.append(cs)
-        out.sort(key=min)
-        return out
-
-    cs_h = cosets(H)
-    cs_k = cosets(K)
-    index_k = {c: i for i, c in enumerate(cs_k)}
-    images = []
-    for c in cs_h:
-        x = min(c)
-        img = frozenset(group.mul(group.mul(x, g), k) for k in K)
-        images.append(index_k[img])
-    return tuple(images)

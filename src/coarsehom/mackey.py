@@ -23,6 +23,8 @@ from .groups import (
     OrbitCategory,
     SubgroupFamily,
     coset_gset,
+    coset_map,
+    fiber_product_gset,
     is_equivariant,
     orbit_category,
     subgroup_class_representatives,
@@ -67,19 +69,7 @@ def compose_gfin_spans(s1: GFinSpan, s2: GFinSpan):
     """s2 after s1: apex the set-theoretic fiber product over the middle."""
     if s1.dst != s2.src:
         raise ValidationError("span endpoints do not match")
-    pts = [
-        (p, q)
-        for p in range(s1.apex.size)
-        for q in range(s2.apex.size)
-        if s1.right[p] == s2.left[q]
-    ]
-    index = {pq: k for k, pq in enumerate(pts)}
-    G = s1.apex.group
-    action = tuple(
-        tuple(index[(s1.apex.action[g][p], s2.apex.action[g][q])] for (p, q) in pts)
-        for g in G.elements()
-    )
-    apex = GSet(G, len(pts), action)
+    apex, pts = fiber_product_gset(s1.apex, s1.right, s2.apex, s2.left)
     left = tuple(s1.left[p] for (p, q) in pts)
     right = tuple(s2.right[q] for (p, q) in pts)
     return GFinSpan(s1.src, s2.dst, apex, left, right)
@@ -123,22 +113,7 @@ def coset_projection(group, L, K):
     L, K = frozenset(L), frozenset(K)
     if not L <= K:
         raise ValidationError("coset projection needs nested subgroups")
-
-    def cosets(S):
-        out, seen = [], set()
-        for x in group.elements():
-            if x in seen:
-                continue
-            cs = frozenset(group.mul(x, s) for s in S)
-            seen.update(cs)
-            out.append(cs)
-        out.sort(key=min)
-        return out
-
-    cl = cosets(L)
-    ck = cosets(K)
-    index_k = {c: i for i, c in enumerate(ck)}
-    return tuple(index_k[frozenset(group.mul(min(c), k) for k in K)] for c in cl)
+    return coset_map(group, L, K, group.identity)
 
 
 def coset_translation(group, L, H, g):
@@ -147,24 +122,7 @@ def coset_translation(group, L, H, g):
     gi = group.inv(g)
     if not all(group.mul(group.mul(gi, l), g) in H for l in L):
         raise ValidationError("translation is not well-defined on cosets")
-
-    def cosets(S):
-        out, seen = [], set()
-        for x in group.elements():
-            if x in seen:
-                continue
-            cs = frozenset(group.mul(x, s) for s in S)
-            seen.update(cs)
-            out.append(cs)
-        out.sort(key=min)
-        return out
-
-    cl = cosets(L)
-    ch = cosets(H)
-    index_h = {c: i for i, c in enumerate(ch)}
-    return tuple(
-        index_h[frozenset(group.mul(group.mul(min(c), g), h) for h in H)] for c in cl
-    )
+    return coset_map(group, L, H, g)
 
 
 # -- the functor M and the Mackey functor EM ---------------------------------
@@ -179,7 +137,7 @@ def M_span(s: GFinSpan):
     """The transfer span of coarse spaces realizing a Burnside morphism;
     both legs of a span of minimal spaces validate (the left is a bounded
     covering, the right is proper and bornological)."""
-    return make_span(M(s.src), M(s.apex), M(s.dst), s.left, s.right, validate=True)
+    return make_span(M(s.src), M(s.apex), M(s.dst), s.left, s.right)
 
 
 def EM_object(S: GSet, maxdeg=3):

@@ -231,7 +231,7 @@ def random_span(rng: Random, X: BornCoarseSpace, cfg: FuzzConfig = FuzzConfig())
     """A random generalized morphism out of X."""
     W, w = random_covering(rng, X, cfg)
     f, Y = random_controlled_map(rng, W, cfg)
-    return make_span(X, W, Y, w, f, validate=True)
+    return make_span(X, W, Y, w, f)
 
 
 def random_composable_spans(rng: Random, cfg: FuzzConfig = FuzzConfig()):

@@ -11,6 +11,10 @@ predicates still run uniformly.
 
 Entourages are plain frozensets of index pairs; operations take the
 carrier size explicitly so that mismatches are detectable.
+
+``BornCoarseSpace(...)`` validates its arguments; spaces built here from
+validated G-sets and checked generators (``make_space``, ``coproduct``)
+are valid by construction and skip that validator.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from dataclasses import dataclass, field
 from .errors import ValidationError
 from .groups import (
     GSet,
+    _trusted,
+    disjoint_union_gsets,
     product_gset,
     require_equivariant,
     trivial_gset,
@@ -197,7 +203,9 @@ class BornCoarseSpace:
 
 
 def make_space(gset, generators=(), name=""):
-    return BornCoarseSpace(gset, generate_structure(generators, gset), name=name)
+    # generate_structure checks every generator's invariance, and the
+    # equivalence closure of invariant relations is invariant
+    return _trusted(BornCoarseSpace, gset, generate_structure(generators, gset), name)
 
 
 def minimal_space(gset, name=""):
@@ -224,10 +232,6 @@ def space_with_entourage(X: BornCoarseSpace, U, name=""):
     return make_space(X.carrier, (frozenset(U),), name=name or f"{X.name}_U")
 
 
-def coarse_components(X: BornCoarseSpace):
-    return X.components()
-
-
 def components_gset(X: BornCoarseSpace):
     """pi_0(X) as a G-set together with the block label of each point."""
     comps = X.components()
@@ -240,7 +244,7 @@ def components_gset(X: BornCoarseSpace):
         tuple(label[X.carrier.action[g][comp[0]]] for comp in comps)
         for g in X.group.elements()
     )
-    return GSet(X.group, len(comps), act), tuple(label)
+    return _trusted(GSet, X.group, len(comps), act), tuple(label)
 
 
 def coarse_closure(X: BornCoarseSpace, A):
@@ -321,14 +325,13 @@ def coproduct(parts, name=""):
         raise ValidationError("coproduct of an empty list; pass the group's empty space")
     if any(p.group != parts[0].group for p in parts):
         raise ValidationError("coproduct: group mismatch")
-    from .groups import disjoint_union_gsets
-
     gset, offsets = disjoint_union_gsets([p.carrier for p in parts])
     pairs = set()
     for p, off in zip(parts, offsets):
         pairs.update((a + off, b + off) for (a, b) in p.coarse.closure_entourage())
     block = _partition_from_relation(gset.size, pairs)
-    return BornCoarseSpace(gset, CoarseStructure(gset.size, block), name=name), offsets
+    space = _trusted(BornCoarseSpace, gset, CoarseStructure(gset.size, block), name)
+    return space, offsets
 
 
 def min_space_of_gset(I: GSet, name=""):
@@ -364,11 +367,6 @@ def map_predicates(f, X: BornCoarseSpace, Y: BornCoarseSpace):
         if X.coarse.related(a, b)
     )
     return controlled, True, True
-
-
-def is_morphism(f, X, Y):
-    controlled, proper, _ = map_predicates(f, X, Y)
-    return controlled and proper
 
 
 def identity_map(X):

@@ -6,14 +6,22 @@ and a controlled, proper and bornological right leg.  Generalized
 morphisms are isomorphism classes of spans; composition pulls the
 middle cospan back to an admissible square.  Equality of classes is
 decided by an explicit equivariant isomorphism search on apexes.
+
+Legs are validated once, where they enter: ``make_span``, ``transfer``
+and ``embed`` check the maps they are given, and ``pullback`` checks its
+cospan.  What is built from checked pieces is trusted, apart from the
+self-checks that guard the constructions themselves (the pullback square
+is admissible, the composite left leg is a covering); a failing
+self-check raises InternalCheckError.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InternalCheckError, OutOfScopeError, ValidationError
-from .groups import GSet, require_equivariant
+from .groups import GSet, _trusted, fiber_product_gset, require_equivariant
 from .spaces import (
     BornCoarseSpace,
     CoarseStructure,
@@ -124,22 +132,20 @@ class Span:
         )
 
 
-def make_span(src, apex, dst, left, right, validate=True):
-    if validate:
-        ok, diag = is_bounded_covering(left, apex, src)
-        if not ok:
-            raise ValidationError(f"left leg is not a bounded covering: {diag}")
-        if isinstance(apex, TapeSpace):
-            if isinstance(right, TapeMap):
-                c, p, b = tape_map_predicates(right)
-            else:
-                raise ValidationError("map from a tape apex must be a TapeMap")
-            if not (c and p and b):
-                raise ValidationError("right leg must be controlled, proper and bornological")
-        else:
-            c, p, b = map_predicates(right, apex, dst)
-            if not (c and p and b):
-                raise ValidationError("right leg must be controlled, proper and bornological")
+def make_span(src, apex, dst, left, right):
+    """A span from checked legs: left a bounded covering, right
+    controlled, proper and bornological."""
+    ok, diag = is_bounded_covering(left, apex, src)
+    if not ok:
+        raise ValidationError(f"left leg is not a bounded covering: {diag}")
+    if isinstance(apex, TapeSpace):
+        if not isinstance(right, TapeMap):
+            raise ValidationError("map from a tape apex must be a TapeMap")
+        c, p, b = tape_map_predicates(right)
+    else:
+        c, p, b = map_predicates(right, apex, dst)
+    if not (c and p and b):
+        raise ValidationError("right leg must be controlled, proper and bornological")
     return Span(src, apex, dst, left, right)
 
 
@@ -168,7 +174,8 @@ def embed(f, X, Y):
     controlled, proper, _ = map_predicates(f, X, Y)
     if not (controlled and proper):
         raise ValidationError("embed requires a controlled and proper map")
-    return make_span(X, X, Y, identity_map(X), tuple(f))
+    # the identity is a bounded covering, and f was just checked
+    return Span(X, X, Y, identity_map(X), tuple(f))
 
 
 def transfer(w, W, X):
@@ -251,15 +258,10 @@ def pullback(g, V: BornCoarseSpace, u, U: BornCoarseSpace, Z: BornCoarseSpace):
     if not ok:
         raise ValidationError(f"pullback: u is not a bounded covering: {diag}")
 
-    pts = [(v, x) for v in range(V.size) for x in range(U.size) if g[v] == u[x]]
-    index = {p: k for k, p in enumerate(pts)}
-    G = V.group
-    action = tuple(
-        tuple(index[(V.carrier.action[gg][v], U.carrier.action[gg][x])] for (v, x) in pts)
-        for gg in G.elements()
-    )
-    carrier = GSet(G, len(pts), action)
-    # intersection of two equivalence relations is one; no closure needed
+    # the fiber product of a checked cospan: its action is the restriction
+    # of the diagonal one, and the intersection of two equivalence
+    # relations is one, so it is a space by construction
+    carrier, pts = fiber_product_gset(V.carrier, g, U.carrier, u)
     blocks = {}
     labels = []
     for (v, x) in pts:
@@ -267,15 +269,55 @@ def pullback(g, V: BornCoarseSpace, u, U: BornCoarseSpace, Z: BornCoarseSpace):
         if key not in blocks:
             blocks[key] = len(blocks)
         labels.append(blocks[key])
-    W = BornCoarseSpace(carrier, CoarseStructure(len(pts), tuple(labels)), name="pullback")
+    W = _trusted(BornCoarseSpace, carrier, CoarseStructure(len(pts), tuple(labels)), "pullback")
     w = tuple(v for (v, x) in pts)
     f = tuple(x for (v, x) in pts)
 
-    sq = AdmissibleSquareCandidate(W, U, V, Z, f, w, g, u)
-    ok, diag = is_admissible(sq)
-    if not ok:
-        raise InternalCheckError(f"constructed pullback square is not admissible: {diag}")
+    defect = _square_defect(AdmissibleSquareCandidate(W, U, V, Z, f, w, g, u))
+    if defect:
+        raise InternalCheckError(f"constructed pullback square is not admissible: {defect}")
     return W, w, f
+
+
+def _square_defect(sq: AdmissibleSquareCandidate):
+    """The square-shape part of admissibility, for a square whose maps are
+    checked: returns the diagnostic of the first failing condition among
+    commutation and cartesianness, or None.  When both hold, the left
+    edge w is forced to be a bounded covering; a failure there is a bug,
+    not a property of the input, and raises InternalCheckError."""
+    W, U, V = sq.W, sq.U, sq.V
+    f, w, g, u = sq.f, sq.w, sq.g, sq.u
+    for p in range(W.size):
+        if g[w[p]] != u[f[p]]:
+            return f"square does not commute at apex point {p}"
+
+    # cartesian: the canonical comparison p -> (w(p), f(p)) must be an
+    # isomorphism of G-coarse spaces onto the fiber product; it lands in
+    # the fiber product because the square commutes
+    over = Counter(u)
+    fiber = sum(over[g[v]] for v in range(V.size))
+    if fiber != W.size:
+        return f"not cartesian: fiber product has {fiber} points, apex has {W.size}"
+    seen = set()
+    for p in range(W.size):
+        if (w[p], f[p]) in seen:
+            return f"not cartesian: comparison map fails at apex point {p}"
+        seen.add((w[p], f[p]))
+    # W carries the product structure iff its blocks and the pairs
+    # (V-block, U-block) cut out the same partition, i.e. every point's
+    # two classes begin at the same point; otherwise the earlier of the
+    # two first points is related to p in exactly one of the structures
+    first_w, first_vu = {}, {}
+    for p in range(W.size):
+        q = first_w.setdefault(W.coarse.block[p], p)
+        r = first_vu.setdefault((V.coarse.block[w[p]], U.coarse.block[f[p]]), p)
+        if q != r:
+            return f"not cartesian: structure mismatch at pair ({min(q, r)},{p})"
+
+    ok, diag = is_bounded_covering(w, W, V)
+    if not ok:
+        raise InternalCheckError(f"admissible square with non-covering left edge: {diag}")
+    return None
 
 
 def is_admissible(sq: AdmissibleSquareCandidate):
@@ -288,10 +330,6 @@ def is_admissible(sq: AdmissibleSquareCandidate):
     require_equivariant(w, W.carrier, V.carrier, "square map w")
     require_equivariant(g, V.carrier, Z.carrier, "square map g")
     require_equivariant(u, U.carrier, Z.carrier, "square map u")
-
-    for p in range(W.size):
-        if g[w[p]] != u[f[p]]:
-            return False, f"square does not commute at apex point {p}"
 
     cg, pg, bg = map_predicates(g, V, Z)
     if not (cg and pg and bg):
@@ -307,32 +345,9 @@ def is_admissible(sq: AdmissibleSquareCandidate):
     if not ok:
         return False, f"u is not a bounded covering: {diag}"
 
-    # cartesian: the canonical comparison p -> (w(p), f(p)) must be an
-    # isomorphism of G-coarse spaces onto the fiber product
-    pts = [(v, x) for v in range(V.size) for x in range(U.size) if g[v] == u[x]]
-    index = {p: k for k, p in enumerate(pts)}
-    if len(pts) != W.size:
-        return False, f"not cartesian: fiber product has {len(pts)} points, apex has {W.size}"
-    comparison = []
-    seen = set()
-    for p in range(W.size):
-        key = (w[p], f[p])
-        if key not in index or key in seen:
-            return False, f"not cartesian: comparison map fails at apex point {p}"
-        seen.add(key)
-        comparison.append(index[key])
-    for a in range(W.size):
-        for b in range(W.size):
-            pa, pb = pts[comparison[a]], pts[comparison[b]]
-            prod_related = V.coarse.related(pa[0], pb[0]) and U.coarse.related(pa[1], pb[1])
-            if W.coarse.related(a, b) != prod_related:
-                return False, f"not cartesian: structure mismatch at pair ({a},{b})"
-
-    # in an admissible square the left edge is forced to be a bounded
-    # covering; a failure here is a bug, not a property of the input
-    ok, diag = is_bounded_covering(w, W, V)
-    if not ok:
-        raise InternalCheckError(f"admissible square with non-covering left edge: {diag}")
+    defect = _square_defect(sq)
+    if defect:
+        return False, defect
     return True, "admissible"
 
 
@@ -352,7 +367,8 @@ def compose(s1: Span, s2: Span):
     ok, diag = is_bounded_covering(left, P, s1.src)
     if not ok:
         raise InternalCheckError(f"composite left leg not a covering: {diag}")
-    return make_span(s1.src, P, s2.dst, left, right, validate=True)
+    # the composite of controlled maps is controlled
+    return Span(s1.src, P, s2.dst, left, right)
 
 
 def hom_monoid_add(s1: Span, s2: Span):
@@ -365,7 +381,8 @@ def hom_monoid_add(s1: Span, s2: Span):
     apex, offsets = coproduct([s1.apex, s2.apex])
     left = tuple(list(s1.left) + list(s2.left))
     right = tuple(list(s1.right) + list(s2.right))
-    return make_span(s1.src, apex, s1.dst, left, right, validate=True)
+    # a disjoint union of coverings is a covering, of controlled maps controlled
+    return Span(s1.src, apex, s1.dst, left, right)
 
 
 def spans_isomorphic(s1: Span, s2: Span):

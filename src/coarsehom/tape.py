@@ -223,16 +223,13 @@ def tape_map_predicates(f: TapeMap):
     return controlled, proper, bornological
 
 
-DEFAULT_PROBE_WINDOWS = (0, 4, 16)
-
-
-def tape_projection_is_bounded_covering(f: TapeMap, probe_windows=DEFAULT_PROBE_WINDOWS):
+def tape_projection_is_bounded_covering(f: TapeMap):
     """Bounded-covering check for a tape-to-finite projection.
 
     Conditions 1 and 2 of a bounded coarse covering are decided
     symbolically.  Condition 3 quantifies over all bounded subsets; it
-    is checked against the preset bounded-set family only (the probe
-    windows, plus the full carrier under the "all" preset) and the
+    is decided for the preset bounded-set family only (the windows
+    [0, n] x F, plus the full carrier under the "all" preset) and the
     verdict is labeled preset-verified.
     """
     if f.kind != "project":
@@ -290,7 +287,7 @@ def tape_projection_is_bounded_covering(f: TapeMap, probe_windows=DEFAULT_PROBE_
     cond3 = True
     if src.born_preset == "finite_window":
         # every window [0, n] x F meets (n+1) * #blocks components: finite,
-        # so the partition by components works for every probe
+        # so the partition by components works for every window
         cond3 = True
     elif kind == "per_index" and src.fiber.size > 0:
         cond3 = False
@@ -302,7 +299,7 @@ def tape_projection_is_bounded_covering(f: TapeMap, probe_windows=DEFAULT_PROBE_
     return ok, ("; ".join(diag) if diag else "preset-verified bounded covering")
 
 
-def check_flasque_witness(space, s, probe_windows=DEFAULT_PROBE_WINDOWS):
+def check_flasque_witness(space, s):
     """Validate a flasqueness witness: an endomorphism s with
     (1) s close to the identity ((id x s)(diag) is an entourage),
     (2) iterates uniformly controlled, (3) escape from every bounded set.
@@ -310,7 +307,7 @@ def check_flasque_witness(space, s, probe_windows=DEFAULT_PROBE_WINDOWS):
     Finite spaces: the full carrier is bounded, so a nonempty finite
     space never escapes; the empty space is flasque via its identity.
     Tape spaces: decided symbolically for shift maps against the preset
-    bounded family (the probe windows).
+    bounded family (the windows [0, n] x F).
     """
     if isinstance(space, BornCoarseSpace):
         if space.size == 0:

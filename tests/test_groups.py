@@ -165,3 +165,20 @@ def test_stabilizer_and_fixed_points(c2):
 def test_coset_space_rejects_non_subgroup(c2):
     with pytest.raises(ValidationError):
         coset_gset(c2, frozenset([1]))
+
+
+def test_separating_computes_primality():
+    # {e} < C_p has prime index, so the trivial family is not separating;
+    # p = 61 lies above any fixed list of small primes
+    for p in (7, 61):
+        g = cyclic_group(p)
+        assert not is_separating(g, family_trivial(g))
+
+
+def test_derived_gset_constructors_check_raw_arguments(c2):
+    with pytest.raises(ValidationError, match="negative size"):
+        trivial_gset(c2, -1)
+    with pytest.raises(ValidationError, match="not an element"):
+        coset_gset(c2, [0, 99])
+    with pytest.raises(ValidationError, match="requires a subgroup"):
+        coset_gset(symmetric_group(3), [0, 1, 2])

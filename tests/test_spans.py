@@ -1,7 +1,8 @@
 import pytest
 from random import Random
 
-from coarsehom.errors import ValidationError
+from coarsehom import spans
+from coarsehom.errors import InternalCheckError, ValidationError
 from coarsehom.groups import GSet, trivial_gset
 from coarsehom.randgen import FuzzConfig, random_composable_spans, random_cospan, random_space, random_span
 from coarsehom.spaces import (
@@ -17,6 +18,7 @@ from coarsehom.spaces import (
 )
 from coarsehom.spans import (
     AdmissibleSquareCandidate,
+    Span,
     component_inclusion,
     component_projection,
     compose,
@@ -118,6 +120,38 @@ def test_pullback_point_fiber(triv, pt):
     P, w, f = pullback(g, pt, proj, W, X)
     assert P.size == 3
     assert len(P.components()) == 3
+
+
+def _duplicate_a_point(real):
+    def corrupted(*args):
+        carrier, pts = real(*args)
+        return carrier, pts[:-1] + pts[:1]
+
+    return corrupted
+
+
+def _merge_all_blocks(real):
+    return lambda size, block: real(size, (0,) * size)
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, message",
+    [
+        ("fiber_product_gset", _duplicate_a_point, "comparison map fails"),
+        ("CoarseStructure", _merge_all_blocks, "structure mismatch"),
+    ],
+)
+def test_corrupt_fiber_product_trips_pullback_self_check(triv, monkeypatch, name, corrupt, message):
+    # the cospan X -id-> X <-proj- I_min,min ox X has a six-point fiber
+    # product with six components
+    X = minimal_space(trivial_gset(triv, 2))
+    I = trivial_gset(triv, 3)
+    W = bounded_union(I, X)
+    ident = identity_map(X)
+    pullback(ident, X, projection_map(I, X), W, X)
+    monkeypatch.setattr(spans, name, corrupt(getattr(spans, name)))
+    with pytest.raises(InternalCheckError, match=message):
+        pullback(ident, X, projection_map(I, X), W, X)
 
 
 def test_square_failing_cartesianness(triv):
@@ -275,8 +309,8 @@ def test_pullback_uniqueness_up_to_unique_iso():
         ok, diag = is_admissible(sq)
         assert ok, diag
         # both completions give isomorphic spans over (V, U)
-        s1 = make_span(V, W, U, w, f, validate=False)
-        s2 = make_span(V, W2, U, w2, f2, validate=False)
+        s1 = Span(V, W, U, w, f)
+        s2 = Span(V, W2, U, w2, f2)
         assert spans_isomorphic(s1, s2)
         count += 1
 
