@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import InternalCheckError, ValidationError
 from .groups import GSet, _trusted
-from .snf import AbHom, FPAbGroup
+from .snf import AbHom, direct_sum
 from .spaces import (
     BornCoarseSpace,
     CoarseStructure,
@@ -25,7 +25,7 @@ from .spaces import (
     tensor,
     trivial_gset,
 )
-from .spans import projection_map
+from .spans import inclusion_at, projection_map
 from .homology import (
     SpaceComplex,
     chain_map_commutes,
@@ -121,8 +121,10 @@ def check_excision(X: BornCoarseSpace, Z, Ys, maxdeg=2):
         cols_by_deg.append(cols)
     if not chain_map_commutes(cols_by_deg, rel_z, rel_x, maxdeg + 1):
         raise InternalCheckError("relative inclusion does not commute with the differential")
-    homs = homology_map_from_chain_cols(cols_by_deg, rel_z, rel_x, maxdeg)
-    verdicts = [h.is_isomorphism() for h in homs]
+    verdicts = [
+        homology_map_from_chain_cols(cols_by_deg[n], rel_z, rel_x, n).is_isomorphism()
+        for n in range(maxdeg + 1)
+    ]
     return all(verdicts), verdicts
 
 
@@ -142,8 +144,10 @@ def check_coarse_invariance(X: BornCoarseSpace, maxdeg=2):
     ]
     if not chain_map_commutes(cols, cxY, cxX, maxdeg + 1):
         raise InternalCheckError("projection chain map does not commute with the differential")
-    homs = homology_map_from_chain_cols(cols, cxY, cxX, maxdeg)
-    verdicts = [h.is_isomorphism() for h in homs]
+    verdicts = [
+        homology_map_from_chain_cols(cols[n], cxY, cxX, n).is_isomorphism()
+        for n in range(maxdeg + 1)
+    ]
     return all(verdicts), verdicts
 
 
@@ -158,15 +162,16 @@ def check_u_continuity(X: BornCoarseSpace, maxdeg=2):
     if stages[-1].coarse != X.coarse:
         raise InternalCheckError("generator filtration does not reach the structure")
     cxX = SpaceComplex(X, maxdeg)
+    ident = tuple(range(X.size))
     iso_from = None
     for k, Xk in enumerate(stages):
         cxK = SpaceComplex(Xk, maxdeg)
-        ident = tuple(range(X.size))
-        cols = [
-            pushforward_chain_cols(ident, Xk, X, cxK, cxX, n) for n in range(maxdeg + 2)
-        ]
-        homs = homology_map_from_chain_cols(cols, cxK, cxX, maxdeg)
-        if all(h.is_isomorphism() for h in homs):
+        if all(
+            homology_map_from_chain_cols(
+                pushforward_chain_cols(ident, Xk, X, cxK, cxX, n), cxK, cxX, n
+            ).is_isomorphism()
+            for n in range(maxdeg + 1)
+        ):
             if iso_from is None:
                 iso_from = k
         else:
@@ -191,38 +196,16 @@ def check_weak_transfers(X: BornCoarseSpace, I: GSet, maxdeg=2):
     cxW = SpaceComplex(W, maxdeg)
     tr_cols = [
         pullback_chain_cols(projection_map(I, X), W, X, cxW, cxX, n)
-        for n in range(maxdeg + 2)
+        for n in range(maxdeg + 1)
     ]
     for j in range(I.size):
-        proj_cols = []
-        for n in range(maxdeg + 2):
-            cols = []
-            for rep in cxW.bases[n]:
-                if all(p // X.size == j for p in rep):
-                    xrep = tuple(p % X.size for p in rep)
-                    cols.append({cxX.index[n][xrep]: 1})
-                else:
-                    cols.append({})
-            proj_cols.append(cols)
-        comp = [scols_mul(proj_cols[n], tr_cols[n]) for n in range(maxdeg + 2)]
-        homs = homology_map_from_chain_cols(comp, cxX, cxX, maxdeg)
-        if not all(hom_is_identity(h) for h in homs):
-            return False
+        # p^ex_j restricts chains to copy j: the pullback along its inclusion
+        incl = inclusion_at(X, I, j)
+        for n in range(maxdeg + 1):
+            comp = scols_mul(pullback_chain_cols(incl, X, W, cxX, cxW, n), tr_cols[n])
+            if not hom_is_identity(homology_map_from_chain_cols(comp, cxX, cxX, n)):
+                return False
     return True
-
-
-def _fp_direct_sum(groups):
-    ngens = sum(g.ngens for g in groups)
-    relations = []
-    off = 0
-    for g in groups:
-        for col in g.relations:
-            big = [0] * ngens
-            for i, v in enumerate(col):
-                big[off + i] = v
-            relations.append(big)
-        off += g.ngens
-    return FPAbGroup(ngens, relations)
 
 
 def check_additivity(parts, maxdeg=2):
@@ -232,24 +215,15 @@ def check_additivity(parts, maxdeg=2):
     cxX = SpaceComplex(X, maxdeg)
     cxs = [SpaceComplex(p, maxdeg) for p in parts]
     for n in range(maxdeg + 1):
-        hX = cxX.homology_data(n)
-        hparts = [cx.homology_data(n) for cx in cxs]
-        src = _fp_direct_sum([h.group for h in hparts])
-        matrix = [[0] * src.ngens for _ in range(hX.group.ngens)]
-        col = 0
-        for p, off, cx, hp in zip(parts, offsets, cxs, hparts):
+        homs = []
+        for p, off, cx in zip(parts, offsets, cxs):
             incl = tuple(off + x for x in range(p.size))
             cols = pushforward_chain_cols(incl, p, X, cx, cxX, n)
-            for cycle in hp.gen_cycles:
-                img = [0] * len(cxX.bases[n])
-                for j, c in enumerate(cols):
-                    if cycle[j]:
-                        for i, v in c.items():
-                            img[i] += cycle[j] * v
-                for i, v in enumerate(hX.class_of(img)):
-                    matrix[i][col] = v
-                col += 1
-        if not AbHom(src, hX.group, matrix).is_isomorphism():
+            homs.append(homology_map_from_chain_cols(cols, cx, cxX, n))
+        hX = cxX.homology_data(n).group
+        # side by side: the sum of the inclusions on the direct sum
+        matrix = [[x for h in homs for x in h.matrix[i]] for i in range(hX.ngens)]
+        if not AbHom(direct_sum([h.src for h in homs]), hX, matrix).is_isomorphism():
             return False
     return True
 
@@ -261,25 +235,16 @@ def check_strong_additivity(parts, maxdeg=2):
     cxX = SpaceComplex(X, maxdeg)
     cxs = [SpaceComplex(p, maxdeg) for p in parts]
     for n in range(maxdeg + 1):
-        hX = cxX.homology_data(n)
-        hparts = [cx.homology_data(n) for cx in cxs]
-        dst = _fp_direct_sum([h.group for h in hparts])
-        matrix = [[0] * hX.group.ngens for _ in range(dst.ngens)]
-        row_off = 0
-        for p, off, cx, hp in zip(parts, offsets, cxs, hparts):
+        homs = []
+        for p, off, cx in zip(parts, offsets, cxs):
             incl = tuple(off + x for x in range(p.size))
             # p_j^free acts by the transfer along the component inclusion:
             # restriction of chains to the block
             cols = pullback_chain_cols(incl, p, X, cx, cxX, n)
-            for gi, cycle in enumerate(hX.gen_cycles):
-                img = [0] * len(cx.bases[n])
-                for j, c in enumerate(cols):
-                    if cycle[j]:
-                        for i, v in c.items():
-                            img[i] += cycle[j] * v
-                for i, v in enumerate(hp.class_of(img)):
-                    matrix[row_off + i][gi] = v
-            row_off += hp.group.ngens
-        if not AbHom(hX.group, dst, matrix).is_isomorphism():
+            homs.append(homology_map_from_chain_cols(cols, cxX, cx, n))
+        # stacked: the product of the restrictions
+        matrix = [row for h in homs for row in h.matrix]
+        hX = cxX.homology_data(n).group
+        if not AbHom(hX, direct_sum([h.dst for h in homs]), matrix).is_isomorphism():
             return False
     return True

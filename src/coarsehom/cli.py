@@ -242,7 +242,7 @@ def load_workspace(path):
             doc = json.load(fh)
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSON syntax, or bytes that are not UTF-8
         raise ValidationError(f"{path}: JSON syntax error: {e}")
     return parse_workspace(doc)
 
@@ -448,14 +448,8 @@ def cmd_check_axioms(args, ws, out):
     # alternate G-orbits of components into Z and its complement; both
     # sides are invariant and coarsely closed, forming a valid pair
     comps = X.components()
-    seen = set()
-    orbit_blocks = []
-    for ci, comp in enumerate(comps):
-        if ci in seen:
-            continue
-        labels = {X.coarse.block[X.carrier.act(g, comp[0])] for g in X.group.elements()}
-        seen |= labels
-        orbit_blocks.append(sorted(p for l in labels for p in comps[l]))
+    orbits = SP.components_gset(X)[0].orbits()
+    orbit_blocks = [sorted(p for c in orbit for p in comps[c]) for orbit in orbits]
     Zpart = sorted(p for i, blk in enumerate(orbit_blocks) if i % 2 == 0 for p in blk)
     Ypart = sorted(set(range(X.size)) - set(Zpart))
     if X.size:
@@ -494,9 +488,11 @@ def _family_by_name(group, label):
         try:
             with open(label) as fh:
                 seeds = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:  # includes JSON and UTF-8 decoding errors
             raise ValidationError(f"family file {label}: {e}")
-        if not isinstance(seeds, list):
+        if not isinstance(seeds, list) or not all(
+            isinstance(s, list) and all(isinstance(x, int) for x in s) for s in seeds
+        ):
             raise ValidationError(f"family file {label}: expected a list of subgroup element lists")
         return G.family_generated_by(
             group, [frozenset(s) for s in seeds], name=os.path.basename(label)
@@ -509,6 +505,7 @@ def cmd_mackey_table(args, ws, out):
     family = _family_by_name(grp, args.family)
     reps = [H for H in G.subgroup_class_representatives(grp) if H in family]
     ctx = MK.EMContext(args.max_degree)
+    ctx0 = MK.EMContext(0)  # the matrices are read in degree 0 only
     rows = []
     values = {}
     for H in reps:
@@ -524,27 +521,23 @@ def cmd_mackey_table(args, ws, out):
     for H in reps:
         for K in reps:
             if len(H) <= len(K) and H <= K:
-                res = MK.EM_morphism(
+                res = ctx0.em_morphism(
                     MK.GFinSpan(
                         G.coset_gset(grp, H),
                         G.coset_gset(grp, K),
                         G.coset_gset(grp, H),
                         tuple(range(grp.order // len(H))),
                         MK.coset_projection(grp, H, K),
-                    ),
-                    0,
-                    ctx,
+                    )
                 )[0]
-                tr = MK.EM_morphism(
+                tr = ctx0.em_morphism(
                     MK.GFinSpan(
                         G.coset_gset(grp, K),
                         G.coset_gset(grp, H),
                         G.coset_gset(grp, H),
                         MK.coset_projection(grp, H, K),
                         tuple(range(grp.order // len(H))),
-                    ),
-                    0,
-                    ctx,
+                    )
                 )[0]
                 matrices.append(
                     {
@@ -755,15 +748,22 @@ def cmd_run(args, ws, out):
     return worst
 
 
-def _degree(text):
-    """argparse type of --degree and --max-degree: a non-negative integer."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {n}")
-    return n
+def _at_least(low, what):
+    """argparse type of an integer at least ``low``."""
+
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {n}")
+        return n
+
+    return parse
+
+
+_degree = _at_least(0, "non-negative")  # --degree and --max-degree
 
 
 def build_parser():
@@ -830,7 +830,7 @@ def build_parser():
     ws_cmd("run", cmd_run)
     f = sub.add_parser("fuzz", parents=[common])
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--cases", type=int, default=50)
+    f.add_argument("--cases", type=_at_least(1, "positive"), default=50)
     f.add_argument("--suite", default="all", choices=["all", "spans", "chains", "axioms", "mackey"])
     f.set_defaults(fn=cmd_fuzz)
     return p

@@ -277,12 +277,17 @@ def _cosets(group, H):
     return reps, where
 
 
+def _require_elements(group, H, what):
+    """The cheap check of raw input before ``is_subgroup`` indexes it."""
+    bad = [h for h in H if not (isinstance(h, int) and 0 <= h < group.order)]
+    if bad:
+        raise ValidationError(f"{what}: {bad[0]!r} is not an element of the group")
+
+
 def coset_gset(group, H):
     """The transitive G-set G/H, cosets ordered by minimal element."""
     H = frozenset(H)
-    bad = [h for h in H if not (isinstance(h, int) and 0 <= h < group.order)]
-    if bad:
-        raise ValidationError(f"coset space: {bad[0]!r} is not an element of the group")
+    _require_elements(group, H, "coset space")
     if not is_subgroup(group, H):
         raise ValidationError("coset space requires a subgroup")
     reps, where = _cosets(group, H)
@@ -527,6 +532,7 @@ def family_generated_by(group, seeds, name="F"):
     members = set()
     for H in seeds:
         H = frozenset(H)
+        _require_elements(group, H, "family seed")
         if not is_subgroup(group, H):
             raise ValidationError("seed is not a subgroup")
         for g in group.elements():

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import InternalCheckError, OutOfScopeError, ValidationError
 from .snf import AbHom, FPAbGroup, smith_normal_form
-from .spaces import BornCoarseSpace
+from .spaces import BornCoarseSpace, components_gset
 from .spans import Span
 
 
@@ -106,18 +106,12 @@ class SpaceComplex:
             self.bases.append(basis)
             self.index.append({t: i for i, t in enumerate(basis)})
         # slice = G-orbit of coarse components, read off the first entry
-        comp_orbit = {}
-        nslices = 0
-        for comp in X.components():
-            if X.coarse.block[comp[0]] in comp_orbit:
-                continue
-            labels = {X.coarse.block[X.carrier.act(g, comp[0])] for g in X.group.elements()}
-            for label in labels:
-                comp_orbit[label] = nslices
-            nslices += 1
-        self.nslices = nslices
+        comps, comp_of = components_gset(X)
+        orbits = comps.orbits()
+        slice_of_comp = {c: s for s, orbit in enumerate(orbits) for c in orbit}
+        self.nslices = len(orbits)
         self.slice_of = [
-            [comp_orbit[X.coarse.block[t[0]]] for t in basis] for basis in self.bases
+            [slice_of_comp[comp_of[t[0]]] for t in basis] for basis in self.bases
         ]
         self._boundaries = {}
         self._hom = {}
@@ -381,36 +375,30 @@ def chain_map_commutes(cols_by_deg, cx_src, cx_dst, upto):
     return True
 
 
-def homology_map_from_chain_cols(cols_by_deg, cx_src, cx_dst, maxdeg):
-    """Descend a chain map to per-degree homomorphisms on homology."""
-    homs = []
-    for n in range(maxdeg + 1):
-        hX = cx_src.homology_data(n)
-        hY = cx_dst.homology_data(n)
-        matrix = [[0] * hX.group.ngens for _ in range(hY.group.ngens)]
-        for gi, cycle in enumerate(hX.gen_cycles):
-            img = scols_apply(cols_by_deg[n], cycle, len(cx_dst.bases[n]))
-            for i, c in enumerate(hY.class_of(img)):
-                matrix[i][gi] = c
-        homs.append(AbHom(hX.group, hY.group, matrix))
-    return homs
+def homology_map_from_chain_cols(cols, cx_src, cx_dst, n):
+    """Descend the degree-n columns of a chain map to the homomorphism
+    H_n(src) -> H_n(dst) it induces; one degree per call, so a caller
+    builds and descends only the degrees it reads."""
+    hX = cx_src.homology_data(n)
+    hY = cx_dst.homology_data(n)
+    matrix = [[0] * hX.group.ngens for _ in range(hY.group.ngens)]
+    for gi, cycle in enumerate(hX.gen_cycles):
+        img = scols_apply(cols, cycle, len(cx_dst.bases[n]))
+        for i, c in enumerate(hY.class_of(img)):
+            matrix[i][gi] = c
+    return AbHom(hX.group, hY.group, matrix)
 
 
-def induced_map(span: Span, maxdeg=3, complexes=None):
+def induced_map(span: Span, maxdeg=3):
     """Per-degree homomorphisms on homology for a generalized morphism;
     validates that the chain map commutes with the differential."""
     for s in (span.src, span.apex, span.dst):
         _require_finite(s, "induced maps")
-    if complexes is None:
-        cxX = SpaceComplex(span.src, maxdeg)
-        cxW = SpaceComplex(span.apex, maxdeg)
-        cxY = SpaceComplex(span.dst, maxdeg)
-    else:
-        cxX, cxW, cxY = complexes
+    cxX, cxW, cxY = (SpaceComplex(s, maxdeg) for s in (span.src, span.apex, span.dst))
     cols = [span_chain_cols(span, cxX, cxW, cxY, n) for n in range(maxdeg + 2)]
     if not chain_map_commutes(cols, cxX, cxY, maxdeg + 1):
         raise InternalCheckError("induced chain map does not commute with the differential")
-    return homology_map_from_chain_cols(cols, cxX, cxY, maxdeg)
+    return [homology_map_from_chain_cols(cols[n], cxX, cxY, n) for n in range(maxdeg + 1)]
 
 
 def validate_chain_table(X: BornCoarseSpace, n, table):
@@ -608,10 +596,7 @@ def hom_is_identity(h: AbHom):
 
 
 def hom_is_multiplication_by(h: AbHom, k):
-    if h.src.ngens != h.dst.ngens:
-        return False
-    for gi in range(h.src.ngens):
-        e = [1 if i == gi else 0 for i in range(h.src.ngens)]
-        if h.dst.reduce(h.apply(e)) != h.dst.reduce([k * v for v in e]):
-            return False
-    return True
+    """Is h multiplication by k?  Compared column by column modulo the
+    relations of h.dst; a shape mismatch is False."""
+    n = h.src.ngens
+    return n == h.dst.ngens and h.agrees_with([[k if i == j else 0 for j in range(n)] for i in range(n)])

@@ -16,12 +16,13 @@ the left leg.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import InternalCheckError, ValidationError
 from .groups import (
     GSet,
-    OrbitCategory,
     SubgroupFamily,
+    _trusted,
     coset_gset,
     coset_map,
     fiber_product_gset,
@@ -30,15 +31,14 @@ from .groups import (
     subgroup_class_representatives,
     trivial_gset,
 )
-from .snf import AbHom, FPAbGroup
+from .snf import AbHom, FPAbGroup, direct_sum
 from .spaces import find_space_isomorphism, minimal_space
-from .spans import make_span
+from .spans import Span, make_span
 from .homology import (
     SpaceComplex,
     homology_map_from_chain_cols,
-    pullback_chain_cols,
     pushforward_chain_cols,
-    scols_mul,
+    span_chain_cols,
 )
 
 
@@ -72,7 +72,8 @@ def compose_gfin_spans(s1: GFinSpan, s2: GFinSpan):
     apex, pts = fiber_product_gset(s1.apex, s1.right, s2.apex, s2.left)
     left = tuple(s1.left[p] for (p, q) in pts)
     right = tuple(s2.right[q] for (p, q) in pts)
-    return GFinSpan(s1.src, s2.dst, apex, left, right)
+    # the legs factor through the fiber product's equivariant projections
+    return _trusted(GFinSpan, s1.src, s2.dst, apex, left, right)
 
 
 def gfin_spans_equal(s1: GFinSpan, s2: GFinSpan):
@@ -173,30 +174,19 @@ class EMContext:
         cxA = self.complex_of(s.src)
         cxW = self.complex_of(s.apex)
         cxB = self.complex_of(s.dst)
-        W = self.space_of(s.apex)
-        A = self.space_of(s.src)
-        B = self.space_of(s.dst)
-        cols = []
-        for n in range(self.maxdeg + 2):
-            back = pullback_chain_cols(s.right, W, B, cxW, cxB, n)
-            push = pushforward_chain_cols(s.left, W, A, cxW, cxA, n)
-            cols.append(scols_mul(push, back))
-        return homology_map_from_chain_cols(cols, cxB, cxA, self.maxdeg)
+        A, W, B = (self.space_of(S) for S in (s.src, s.apex, s.dst))
+        span = Span(B, W, A, s.right, s.left)
+        return [
+            homology_map_from_chain_cols(span_chain_cols(span, cxB, cxW, cxA, n), cxB, cxA, n)
+            for n in range(self.maxdeg + 1)
+        ]
 
 
-def EM_morphism(s: GFinSpan, maxdeg=2, ctx=None):
-    ctx = ctx or EMContext(maxdeg)
-    return ctx.em_morphism(s)
+def EM_morphism(s: GFinSpan, maxdeg=2):
+    return EMContext(maxdeg).em_morphism(s)
 
 
-def hom_equal(h1: AbHom, h2: AbHom):
-    if h1.src.ngens != h2.src.ngens or h1.dst.ngens != h2.dst.ngens:
-        return False
-    for gi in range(h1.src.ngens):
-        e = [1 if i == gi else 0 for i in range(h1.src.ngens)]
-        if h1.dst.reduce(h1.apply(e)) != h2.dst.reduce(h2.apply(e)):
-            return False
-    return True
+hom_equal = AbHom.equals
 
 
 def hom_sum(homs):
@@ -302,7 +292,7 @@ class AssemblyResult:
         )
 
 
-def assembly(group, family: SubgroupFamily, degree=0, cat: OrbitCategory = None):
+def assembly(group, family: SubgroupFamily, degree=0):
     """The degree-wise assembly map: the colimit of EM over the orbit
     category of the family, mapped to EM(pt).
 
@@ -313,55 +303,31 @@ def assembly(group, family: SubgroupFamily, degree=0, cat: OrbitCategory = None)
     groups and is reported as empirical; it is not a proof of the
     spectrum-level statement.
     """
-    if cat is None:
-        cat = orbit_category(group, family)
+    cat = orbit_category(group, family)
     ctx = EMContext(max(degree, 0))
     n = degree
 
-    values = []
-    for S in cat.objects:
-        values.append(ctx.complex_of(S).homology_data(n))
-    offsets = []
-    total = 0
-    for v in values:
-        offsets.append(total)
-        total += v.group.ngens
-
-    relations = []
-    for v, off in zip(values, offsets):
-        for col in v.group.relations:
-            big = [0] * total
-            for i, x in enumerate(col):
-                big[off + i] = x
-            relations.append(big)
+    values = [ctx.complex_of(S).homology_data(n).group for S in cat.objects]
+    offsets = list(accumulate((v.ngens for v in values), initial=0))
 
     # one relation per non-identity morphism and source generator
+    relations = []
     for f in cat.all_morphisms():
         if f.src == f.dst and f.images == tuple(range(cat.objects[f.src].size)):
             continue
-        hs = _diagram_map(ctx, cat, f, n)
-        for gi in range(values[f.src].group.ngens):
-            e = [1 if i == gi else 0 for i in range(values[f.src].group.ngens)]
-            img = hs.apply(e)
-            col = [0] * total
+        h = _pushforward_hom(ctx, cat.objects[f.src], cat.objects[f.dst], f.images, n)
+        for gi in range(h.src.ngens):
+            col = [0] * offsets[-1]
             col[offsets[f.src] + gi] += 1
-            for i, x in enumerate(img):
-                col[offsets[f.dst] + i] -= x
+            for i, row in enumerate(h.matrix):
+                col[offsets[f.dst] + i] -= row[gi]
             relations.append(col)
-    colim = FPAbGroup(total, relations)
+    colim = direct_sum(values, relations)
 
     pt = trivial_gset(group, 1)
-    target_data = ctx.complex_of(pt).homology_data(n)
-    target = target_data.group
-    matrix = [[0] * total for _ in range(target.ngens)]
-    for obj_i, (v, off) in enumerate(zip(values, offsets)):
-        to_pt = tuple(0 for _ in range(cat.objects[obj_i].size))
-        h = _pushforward_hom(ctx, cat.objects[obj_i], pt, to_pt, n)
-        for gi in range(v.group.ngens):
-            e = [1 if i == gi else 0 for i in range(v.group.ngens)]
-            img = h.apply(e)
-            for i, x in enumerate(img):
-                matrix[i][off + gi] = x
+    target = ctx.complex_of(pt).homology_data(n).group
+    to_pt = [_pushforward_hom(ctx, S, pt, (0,) * S.size, n) for S in cat.objects]
+    matrix = [[x for h in to_pt for x in h.matrix[i]] for i in range(target.ngens)]
     alpha = AbHom(colim, target, matrix)
     injective = alpha.is_injective()
     split = injective and alpha.is_split_injective()
@@ -372,15 +338,8 @@ def assembly(group, family: SubgroupFamily, degree=0, cat: OrbitCategory = None)
 
 
 def _pushforward_hom(ctx: EMContext, S: GSet, T: GSet, f, n):
-    """E(f) = f_* on homology for a map of G-sets (an embedded morphism)."""
+    """E(f) = f_* on H_n for a map of G-sets (an embedded morphism)."""
     cxS = ctx.complex_of(S)
     cxT = ctx.complex_of(T)
-    cols = [
-        pushforward_chain_cols(f, ctx.space_of(S), ctx.space_of(T), cxS, cxT, d)
-        for d in range(n + 2)
-    ]
-    return homology_map_from_chain_cols(cols, cxS, cxT, n)[n]
-
-
-def _diagram_map(ctx, cat, f, n):
-    return _pushforward_hom(ctx, cat.objects[f.src], cat.objects[f.dst], f.images, n)
+    cols = pushforward_chain_cols(f, ctx.space_of(S), ctx.space_of(T), cxS, cxT, n)
+    return homology_map_from_chain_cols(cols, cxS, cxT, n)

@@ -439,6 +439,23 @@ class FPAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
+def direct_sum(groups, extra_relations=()):
+    """The direct sum of presented groups on the concatenated generators:
+    each group's relations shifted to its block, then the extra relations
+    (columns over all the generators)."""
+    ngens = sum(g.ngens for g in groups)
+    relations = []
+    off = 0
+    for g in groups:
+        for col in g.relations:
+            big = [0] * ngens
+            big[off : off + g.ngens] = col
+            relations.append(big)
+        off += g.ngens
+    relations.extend(extra_relations)
+    return FPAbGroup(ngens, relations)
+
+
 @dataclass
 class AbHom:
     """A homomorphism between finitely presented abelian groups, given
@@ -459,6 +476,20 @@ class AbHom:
 
     def apply(self, v):
         return mat_vec(self.matrix, list(v))
+
+    def agrees_with(self, matrix):
+        """Does ``matrix`` send every generator of src where this map
+        does, modulo the relations of dst?  A shape mismatch is False."""
+        if len(matrix) != self.dst.ngens or any(len(r) != self.src.ngens for r in matrix):
+            return False
+        return all(
+            self.dst.equal([r[j] for r in self.matrix], [r[j] for r in matrix])
+            for j in range(self.src.ngens)
+        )
+
+    def equals(self, other):
+        """Equal as homomorphisms, compared column by column modulo dst."""
+        return self.src.ngens == other.src.ngens and self.agrees_with(other.matrix)
 
     def compose(self, other):
         """self after other."""

@@ -307,3 +307,19 @@ def oracle_assembly_verdicts(group, family):
             rhs.append(1 if r == i else 0)
     split = injective and (naive_solve(rows, rhs) is not None)
     return injective, split
+
+
+# -- weak-transfer projection -------------------------------------------------
+
+
+def weak_transfer_projection_cols(X, j, cxX, cxW, n):
+    """The excision projection p^ex_j: C_n(I_min,min ox X) -> C_n(X) built
+    by hand: an orbit of tuples that lies in copy j (points j*|X| + x)
+    goes to the orbit of its X-coordinates, every other orbit to 0."""
+    cols = []
+    for rep in cxW.bases[n]:
+        if all(p // X.size == j for p in rep):
+            cols.append({cxX.index[n][tuple(p % X.size for p in rep)]: 1})
+        else:
+            cols.append({})
+    return cols

@@ -1,6 +1,8 @@
 import pytest
 from random import Random
 
+from oracles import weak_transfer_projection_cols
+
 from coarsehom.axioms import (
     check_additivity,
     check_coarse_invariance,
@@ -19,7 +21,9 @@ from coarsehom.randgen import (
     random_group,
     random_space,
 )
-from coarsehom.spaces import coproduct, make_space, maximal_space, minimal_space
+from coarsehom.homology import SpaceComplex, pullback_chain_cols
+from coarsehom.spaces import bounded_union, coproduct, make_space, maximal_space, minimal_space
+from coarsehom.spans import inclusion_at
 
 CFG = FuzzConfig(max_points=6, max_component=3)
 
@@ -135,3 +139,19 @@ def test_additivity_fuzz():
         parts = [random_space(rng, CFG, group=g) for _ in range(1 + rng.randrange(3))]
         assert check_additivity(parts, 2)
         assert check_strong_additivity(parts, 2)
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_weak_transfer_projection_is_pullback_along_inclusion(seed):
+    """p^ex_j of the weak-transfer check, the pullback along the
+    inclusion of copy j, equals the hand-built projection."""
+    rng = Random(seed)
+    for _ in range(6):
+        X = random_space(rng, CFG)
+        I = trivial_gset(X.group, 1 + rng.randrange(3))
+        W = bounded_union(I, X)
+        cxX, cxW = SpaceComplex(X, 2), SpaceComplex(W, 2)
+        for j in range(I.size):
+            for n in range(3):
+                cols = pullback_chain_cols(inclusion_at(X, I, j), X, W, cxX, cxW, n)
+                assert cols == weak_transfer_projection_cols(X, j, cxX, cxW, n)

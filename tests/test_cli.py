@@ -8,7 +8,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coarsehom.cli import build_parser, dispatch, load_workspace, main, parse_workspace
@@ -82,6 +82,14 @@ def test_json_syntax_error_exit_code(tmp_path):
     bad.write_text("{nope")
     rc = main(["homology", str(bad)])
     assert rc == 2
+
+
+def test_workspace_not_utf8_exit_code(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b"\xff{")
+    rc = main(["homology", str(bad)])
+    assert rc == 2
+    assert "JSON syntax error" in capsys.readouterr().err
 
 
 def test_check_covering_subcommand():
@@ -408,6 +416,99 @@ def test_malformed_documents_never_trace_back(data):
             try:
                 rc = main(argv[:1] + [path] + argv[1:])
             except SystemExit as e:  # argparse rejects a task's arguments
+                rc = e.code
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["assembly", "mackey-table"])
+@pytest.mark.parametrize("content", ["[1, 2]", "[[0, 99]]", "[[[1]]]", "[[0, 0.5]]", "\udcff["])
+def test_malformed_family_file_exits_2(tmp_path, capsys, command, content):
+    p = tmp_path / "family.json"
+    p.write_bytes(content.encode("utf-8", "surrogateescape"))
+    rc = main([command, FIXTURE, "--group", "c2", "--family", str(p)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("validation error:")
+
+
+@pytest.mark.parametrize("cases", ["-3", "0"])
+def test_nonpositive_fuzz_cases_rejected_at_parse_time(capsys, cases):
+    with pytest.raises(SystemExit) as err:
+        main(["fuzz", "--cases", cases])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"must be a positive integer, got {cases}" in captured.err
+
+
+_FAMILY = "@family"  # stands for the path of a generated family file
+_DEGREES = st.sampled_from(["0", "1", "2"]) | st.sampled_from(["-1", "-7", "1.5", "x", ""])
+_FAMILIES = st.just(_FAMILY) | st.sampled_from(["all", "sol", "triv", "none"])
+_GROUPS = st.just("c2") | st.sampled_from(["C2", "nope"])
+_FAMILY_FILES = st.one_of(
+    st.sampled_from(
+        ["[1, 2]", "[[0, 99]]", "[[[1]]]", "[[0, 1]]", "[[0]]", "[]", "[[]]", "{}", "[[0, 1.5]]", "nul"]
+    ),
+    st.recursive(
+        st.integers(-2, 3) | st.booleans() | st.none(), lambda kids: st.lists(kids, max_size=3), max_leaves=5
+    ).map(json.dumps),
+    # raw bytes, kept as surrogate escapes so that invalid UTF-8 survives
+    st.binary(max_size=6).map(lambda b: b.decode("utf-8", "surrogateescape")),
+)
+_NAMES = st.sampled_from(
+    ["X", "Y", "W", "T", "Tbd", "tr", "iota_proj", "iota_collapse", "proj", "shift", "identity_square", "nope", ""]
+)
+_ARGV = st.one_of(
+    st.tuples(
+        st.just("assembly"),
+        st.tuples(st.just("--group"), _GROUPS, st.just("--family"), _FAMILIES, st.just("--degree"), _DEGREES),
+    ),
+    st.tuples(
+        st.just("mackey-table"),
+        st.tuples(st.just("--group"), _GROUPS, st.just("--family"), _FAMILIES, st.just("--max-degree"), _DEGREES),
+    ),
+    st.tuples(st.just("homology"), st.tuples(st.just("--name"), _NAMES, st.just("--max-degree"), _DEGREES)),
+    st.tuples(st.just("induced-map"), st.tuples(st.just("--name"), _NAMES, st.just("--max-degree"), _DEGREES)),
+    st.tuples(st.just("check-axioms"), st.tuples(st.just("--name"), _NAMES, st.just("--max-degree"), _DEGREES)),
+    st.tuples(st.just("check-axioms"), st.tuples(st.just("--name"), _NAMES, st.just("--witness"), _NAMES)),
+    st.tuples(st.just("check-covering"), st.tuples(st.just("--name"), _NAMES)),
+    st.tuples(st.just("check-square"), st.tuples(st.just("--name"), _NAMES)),
+    st.tuples(st.just("compose"), st.tuples(st.just("--left"), _NAMES, st.just("--right"), _NAMES)),
+    st.tuples(
+        st.just("fuzz"),
+        st.tuples(
+            st.just("--cases"),
+            st.sampled_from(["1", "2", "0", "-3", "x", "1.5"]),
+            st.just("--seed"),
+            st.sampled_from(["0", "-5", "7", "y"]),
+            st.just("--suite"),
+            st.sampled_from(["all", "spans", "chains", "axioms", "mackey", "nope"]),
+        ),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ARGV, st.sampled_from(["table", "json", "csv", "xml"]), _FAMILY_FILES)
+@example(("assembly", ("--group", "c2", "--family", _FAMILY, "--degree", "0")), "json", "[1, 2]")
+@example(("mackey-table", ("--group", "c2", "--family", _FAMILY, "--max-degree", "0")), "table", "[[0, 99]]")
+def test_command_lines_never_trace_back(argv, fmt, family_text):
+    """Any subcommand with any flag values exits in {0, 2, 3, 4}
+    without a traceback; a family file holds arbitrary text."""
+    command, flags = argv
+    with tempfile.TemporaryDirectory() as tmp:
+        family_path = os.path.join(tmp, "family.json")
+        with open(family_path, "wb") as fh:
+            fh.write(family_text.encode("utf-8", "surrogateescape"))
+        flags = [family_path if f == _FAMILY else f for f in flags]
+        full = [command] + ([] if command == "fuzz" else [FIXTURE]) + flags + ["--format", fmt]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(full)
+            except SystemExit as e:  # argparse rejects the arguments
                 rc = e.code
     assert rc in (0, 2, 3, 4)
     assert "Traceback" not in out.getvalue() + err.getvalue()

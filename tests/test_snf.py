@@ -3,9 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsehom.errors import ValidationError
+from coarsehom.homology import hom_is_identity, hom_is_multiplication_by
 from coarsehom.snf import (
     AbHom,
     FPAbGroup,
+    direct_sum,
     kernel_basis,
     lattice_contains,
     mat_eq,
@@ -186,3 +188,35 @@ def test_hom_decision_procedures():
     # quotient Z -> Z/2 is surjective, not injective
     q = AbHom(Z, z2, [[1]])
     assert q.is_surjective() and not q.is_injective()
+
+
+def test_hom_equality_is_modulo_the_target():
+    Z, Z4 = FPAbGroup(1, []), FPAbGroup(1, [[4]])
+    assert AbHom(Z, Z4, [[1]]).equals(AbHom(Z, Z4, [[5]]))
+    assert not AbHom(Z, Z4, [[1]]).equals(AbHom(Z, Z4, [[3]]))
+    assert hom_is_multiplication_by(AbHom(Z4, Z4, [[7]]), 3)
+    assert hom_is_identity(AbHom(Z4, Z4, [[5]]))
+
+
+def test_hom_equality_mismatches_are_false_not_errors():
+    Z, Z2, Z4 = FPAbGroup(1, []), FPAbGroup(1, [[2]]), FPAbGroup(1, [[4]])
+    Z2sq = direct_sum([Z2, Z2])
+    # Z/2 -> Z/4, 1 -> 2: the identity matrix would not descend
+    doubling = AbHom(Z2, Z4, [[2]])
+    assert not hom_is_identity(doubling)
+    assert not hom_is_multiplication_by(doubling, 3)
+    # shape mismatches
+    fold = AbHom(Z2sq, Z2, [[1, 1]])
+    assert not hom_is_identity(fold)
+    assert not fold.equals(AbHom(Z, Z, [[1]]))
+    assert not AbHom(Z, Z, [[1]]).equals(fold)
+    assert not AbHom(Z, Z2sq, [[1], [0]]).equals(AbHom(Z, Z2, [[1]]))
+    assert not fold.agrees_with([[1]])
+
+
+def test_direct_sum_keeps_block_then_extra_relations():
+    Z2, Z3 = FPAbGroup(1, [[2]]), FPAbGroup(2, [[0, 3]])
+    S = direct_sum([Z2, Z3], [[1, 1, 0]])
+    assert S.ngens == 3
+    assert S.relations == [[2, 0, 0], [0, 0, 3], [1, 1, 0]]
+    assert S.invariants() == (0, (6,))  # Z/2 + Z + Z/3 modulo (1, 1, 0) is Z/6

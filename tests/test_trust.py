@@ -1,7 +1,8 @@
 """Objects derived from validated ones are built without re-running the
 public validators; these tests re-validate what the derived constructors
 build, on the fuzz seeds the other test modules use, through the public
-constructors ``GSet(...)``, ``BornCoarseSpace(...)`` and ``make_span``."""
+constructors ``GSet(...)``, ``BornCoarseSpace(...)``, ``make_span`` and
+``GFinSpan(...)``."""
 
 from random import Random
 
@@ -16,7 +17,7 @@ from coarsehom.groups import (
     product_gset,
     trivial_gset,
 )
-from coarsehom.mackey import compose_gfin_spans
+from coarsehom.mackey import GFinSpan, compose_gfin_spans
 from coarsehom.randgen import (
     GROUP_CATALOG,
     FuzzConfig,
@@ -82,4 +83,6 @@ def test_derived_spaces_and_spans(seed):
         src = random_gset(rng, X.group, CFG.max_points)
         t1 = random_gfin_span(rng, src, CFG)
         t2 = random_gfin_span(rng, t1.dst, CFG)
-        revalidate_gset(compose_gfin_spans(t1, t2).apex)
+        c = compose_gfin_spans(t1, t2)
+        revalidate_gset(c.apex)
+        GFinSpan(c.src, c.dst, c.apex, c.left, c.right)
