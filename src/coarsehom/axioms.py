@@ -54,15 +54,9 @@ def subspace(X: BornCoarseSpace, A):
         tuple(pos[X.carrier.act(g, p)] for p in pts) for g in X.group.elements()
     )
     carrier = _trusted(GSet, X.group, len(pts), action)
-    labels = {}
-    block = []
-    for p in pts:
-        lbl = X.coarse.block[p]
-        if lbl not in labels:
-            labels[lbl] = len(labels)
-        block.append(labels[lbl])
+    block = tuple(X.coarse.block[p] for p in pts)
     # an invariant structure restricted to an invariant subset stays invariant
-    sub = _trusted(BornCoarseSpace, carrier, CoarseStructure(len(pts), tuple(block)), f"{X.name}|A")
+    sub = _trusted(BornCoarseSpace, carrier, CoarseStructure(len(pts), block), f"{X.name}|A")
     return sub, tuple(pts)
 
 

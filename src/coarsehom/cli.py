@@ -49,7 +49,9 @@ class _Errors:
         self.items = []
 
     def add(self, pointer, message):
-        self.items.append(f"{pointer}: {message}")
+        # a message that starts with a pointer continues the entry's pointer
+        sep = "" if message.startswith("/") else ": "
+        self.items.append(f"{pointer}{sep}{message}")
 
     def raise_if_any(self):
         if self.items:
@@ -70,6 +72,20 @@ def _section(doc, key, errs):
         else:
             errs.add(f"/{key}/{name}", "must be a JSON object")
     return out
+
+
+def _ints(value, where, depth=0):
+    """``value`` as JSON integers nested ``depth`` arrays deep, as tuples.
+    Booleans, floats and strings are rejected, with the JSON pointer
+    ``where`` extended to the offending node: ``isinstance(True, int)``
+    holds in Python, so only the exact type tells an integer."""
+    if depth == 0:
+        if type(value) is not int:
+            raise ValidationError(f"{where}: must be a JSON integer, got {json.dumps(value)}")
+        return value
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: must be a JSON array")
+    return tuple(_ints(v, f"{where}/{i}", depth - 1) for i, v in enumerate(value))
 
 
 def _object(value, what):
@@ -97,7 +113,7 @@ def parse_workspace(doc):
                     continue
                 ws.groups[name] = G.GROUP_PRESETS[preset]()
             elif "table" in entry:
-                ws.groups[name] = G.Group(tuple(tuple(r) for r in entry["table"]), name=name)
+                ws.groups[name] = G.Group(_ints(entry["table"], "/table", 2), name=name)
             else:
                 errs.add(ptr, "need 'preset' or 'table'")
         except (ValidationError, TypeError, KeyError) as e:
@@ -110,11 +126,11 @@ def parse_workspace(doc):
                 errs.add(ptr + "/group", f"unknown group {entry.get('group')!r}")
                 continue
             if "trivial" in entry:
-                ws.gsets[name] = G.trivial_gset(grp, int(entry["trivial"]))
+                ws.gsets[name] = G.trivial_gset(grp, _ints(entry["trivial"], "/trivial"))
             elif "cosets_of" in entry:
-                ws.gsets[name] = G.coset_gset(grp, frozenset(entry["cosets_of"]))
+                ws.gsets[name] = G.coset_gset(grp, frozenset(_ints(entry["cosets_of"], "/cosets_of", 1)))
             elif "action" in entry:
-                act = tuple(tuple(r) for r in entry["action"])
+                act = _ints(entry["action"], "/action", 2)
                 size = len(act[0]) if act else 0
                 ws.gsets[name] = G.GSet(grp, size, act)
             else:
@@ -152,8 +168,8 @@ def parse_workspace(doc):
                 ws.spaces[name] = SP.maximal_space(gs, name=name)
             elif "generators" in coarse:
                 gens = [
-                    frozenset((int(a), int(b)) for a, b in ent)
-                    for ent in coarse["generators"]
+                    frozenset((a, b) for a, b in ent)
+                    for ent in _ints(coarse["generators"], "/coarse/generators", 3)
                 ]
                 sym = [U | frozenset((b, a) for (a, b) in U) for U in gens]
                 ws.spaces[name] = SP.make_space(gs, sym, name=name)
@@ -171,12 +187,12 @@ def parse_workspace(doc):
                 continue
             if isinstance(src, TP.TapeSpace):
                 kind = entry.get("kind")
-                fm = tuple(entry.get("fiber_images", ()))
-                ws.maps[name] = TP.TapeMap(kind, src, dst, fm, int(entry.get("shift", 0)))
+                fm = _ints(entry.get("fiber_images", []), "/fiber_images", 1)
+                ws.maps[name] = TP.TapeMap(kind, src, dst, fm, _ints(entry.get("shift", 0), "/shift"))
             elif not isinstance(dst, SP.BornCoarseSpace):
                 errs.add(ptr + "/dst", "a map from a finite space must target a finite space")
             else:
-                images = tuple(entry["images"])
+                images = _ints(entry["images"], "/images", 1)
                 G.require_equivariant(images, src.carrier, dst.carrier, f"map {name}")
                 ws.maps[name] = ("finite", entry["src"], entry["dst"], images)
         except (ValidationError, TypeError, ValueError, KeyError) as e:
@@ -490,10 +506,10 @@ def _family_by_name(group, label):
                 seeds = json.load(fh)
         except (OSError, ValueError) as e:  # includes JSON and UTF-8 decoding errors
             raise ValidationError(f"family file {label}: {e}")
-        if not isinstance(seeds, list) or not all(
-            isinstance(s, list) and all(isinstance(x, int) for x in s) for s in seeds
-        ):
-            raise ValidationError(f"family file {label}: expected a list of subgroup element lists")
+        try:
+            seeds = _ints(seeds, "#", 2)  # the URI-fragment form of a JSON pointer
+        except ValidationError as e:
+            raise ValidationError(f"family file {label}: expected a list of subgroup element lists: {e}")
         return G.family_generated_by(
             group, [frozenset(s) for s in seeds], name=os.path.basename(label)
         )

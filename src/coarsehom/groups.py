@@ -109,37 +109,36 @@ class Group:
         return hash(self.table)
 
 
-def _mulclose(gens):
-    """Close a set of permutation tuples under composition."""
-    if not gens:
-        return []
-    n = len(gens[0])
-    ident = tuple(range(n))
-    seen = {ident}
-    frontier = [ident]
+def _generate(start, gens, mul):
+    """The closure of the elements ``start`` under right multiplication
+    by ``gens``, found breadth first.  In a finite group every inverse is
+    a positive power, so from the identity this is the subgroup <gens>,
+    and from a subgroup generated by some of ``gens`` it is <gens>."""
+    seen = set(start)
+    frontier = list(seen)
     while frontier:
         nxt = []
         for p in frontier:
             for q in gens:
-                r = tuple(p[q[i]] for i in range(n))
+                r = mul(p, q)
                 if r not in seen:
                     seen.add(r)
                     nxt.append(r)
         frontier = nxt
-    return sorted(seen)
+    return frozenset(seen)
 
 
 def group_from_permutations(gens, name="G"):
     """Group generated by permutation tuples, elements sorted lexicographically
-    with the identity first."""
-    perms = _mulclose([tuple(g) for g in gens])
-    n = len(perms[0])
-    ident = tuple(range(n))
-    perms.sort(key=lambda p: (p != ident, p))
+    (so the identity comes first)."""
+    gens = [tuple(g) for g in gens]
+
+    def compose(p, q):
+        return tuple(p[i] for i in q)
+
+    perms = sorted(_generate([tuple(range(len(gens[0])))], gens, compose))
     index = {p: i for i, p in enumerate(perms)}
-    table = tuple(
-        tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms
-    )
+    table = tuple(tuple(index[compose(p, q)] for q in perms) for p in perms)
     return Group(table, name=name)
 
 
@@ -279,7 +278,7 @@ def _cosets(group, H):
 
 def _require_elements(group, H, what):
     """The cheap check of raw input before ``is_subgroup`` indexes it."""
-    bad = [h for h in H if not (isinstance(h, int) and 0 <= h < group.order)]
+    bad = [h for h in H if not (type(h) is int and 0 <= h < group.order)]
     if bad:
         raise ValidationError(f"{what}: {bad[0]!r} is not an element of the group")
 
@@ -375,27 +374,6 @@ def require_equivariant(f, src, dst, what="map"):
 # -- subgroup lattice ------------------------------------------------------
 
 
-def _closure(group, seed):
-    """Subgroup generated by a set of elements."""
-    cur = {group.identity}
-    frontier = list(set(seed) | cur)
-    cur.update(frontier)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(cur):
-                for c in (group.mul(a, b), group.mul(b, a)):
-                    if c not in cur:
-                        cur.add(c)
-                        nxt.append(c)
-            inv = group.inv(a)
-            if inv not in cur:
-                cur.add(inv)
-                nxt.append(inv)
-        frontier = nxt
-    return frozenset(cur)
-
-
 def subgroup_key(H):
     return (len(H), tuple(sorted(H)))
 
@@ -404,26 +382,27 @@ def subgroup_key(H):
 def all_subgroups(group):
     """Every subgroup, sorted by order then element list.
 
-    Enumeration: close each single element to a cyclic subgroup, then
-    repeatedly extend known subgroups by cyclic ones until stable.
-    Adequate up to |G| = 60.
+    Cyclic extension: starting from the trivial subgroup, each new
+    subgroup H is extended by one element g outside it, closing H under
+    its generators and g.  Since <H, g> = <H, gh> for h in H, one g per
+    left coset gH suffices.
     """
-    cyclics = {_closure(group, [g]) for g in group.elements()}
-    found = set(cyclics)
-    found.add(frozenset([group.identity]))
-    frontier = set(found)
+    trivial = frozenset([group.identity])
+    gens_of = {trivial: ()}
+    frontier = [trivial]
     while frontier:
-        nxt = set()
+        nxt = []
         for H in frontier:
-            for C in cyclics:
-                if C <= H:
+            for g in _cosets(group, H)[0]:
+                if g in H:
                     continue
-                K = _closure(group, H | C)
-                if K not in found:
-                    found.add(K)
-                    nxt.add(K)
+                gens = gens_of[H] + (g,)
+                K = _generate(H, gens, group.mul)
+                if K not in gens_of:
+                    gens_of[K] = gens
+                    nxt.append(K)
         frontier = nxt
-    return tuple(sorted(found, key=subgroup_key))
+    return tuple(sorted(gens_of, key=subgroup_key))
 
 
 def conjugate_subgroup(group, g, H):
@@ -462,10 +441,10 @@ def is_normal_in(group, H, K):
 
 
 def commutator_subgroup(group, H):
-    comms = [
+    comms = {
         group.mul(group.mul(a, b), group.inv(group.mul(b, a))) for a in H for b in H
-    ]
-    return _closure(group, comms)
+    }
+    return _generate([group.identity], comms, group.mul)
 
 
 def is_solvable_subgroup(group, H):

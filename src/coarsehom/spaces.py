@@ -77,7 +77,8 @@ def is_invariant_entourage(U, gset: GSet):
 
 
 def _partition_from_relation(size, pairs):
-    """Blocks of the equivalence closure of the reflexive-symmetric hull."""
+    """A block label per point for the equivalence closure of the
+    reflexive-symmetric hull (its union-find root)."""
     parent = list(range(size))
 
     def find(x):
@@ -90,37 +91,31 @@ def _partition_from_relation(size, pairs):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-    labels = {}
-    block = []
-    for x in range(size):
-        r = find(x)
-        if r not in labels:
-            labels[r] = len(labels)
-        block.append(labels[r])
-    return tuple(block)
+    return tuple(find(x) for x in range(size))
 
 
 @dataclass(frozen=True)
 class CoarseStructure:
     """Generated coarse structure on a finite carrier.
 
-    ``block[x]`` is the coarse component label of x; two structures are
-    equal iff their closures (partitions) agree.
+    ``block[x]`` is the coarse component label of x.  Any hashable labels
+    may be passed; they are renumbered 0, 1, ... in order of first
+    appearance, so two structures are equal iff their closures
+    (partitions) agree.
     """
 
     size: int
     block: tuple
-    generators: tuple = ()
+    generators: tuple = field(default=(), compare=False)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoarseStructure)
-            and self.size == other.size
-            and self.block == other.block
-        )
-
-    def __hash__(self):
-        return hash((self.size, self.block))
+    def __post_init__(self):
+        if len(self.block) != self.size:
+            raise ValidationError(
+                f"{len(self.block)} block labels for a carrier of size {self.size}"
+            )
+        number = {}
+        block = tuple(number.setdefault(b, len(number)) for b in self.block)
+        object.__setattr__(self, "block", block)
 
     def related(self, a, b):
         return self.block[a] == self.block[b]
@@ -143,7 +138,7 @@ class CoarseStructure:
         out = {}
         for x in range(self.size):
             out.setdefault(self.block[x], []).append(x)
-        return [tuple(v) for _, v in sorted(out.items(), key=lambda kv: kv[1][0])]
+        return [tuple(v) for v in out.values()]  # labels are numbered by least point
 
 
 def generate_structure(gens, gset: GSet):
@@ -235,16 +230,12 @@ def space_with_entourage(X: BornCoarseSpace, U, name=""):
 def components_gset(X: BornCoarseSpace):
     """pi_0(X) as a G-set together with the block label of each point."""
     comps = X.components()
-    # block labels in component order
-    label = [None] * X.size
-    for i, comp in enumerate(comps):
-        for x in comp:
-            label[x] = i
+    label = X.coarse.block  # canonical labels number the components in order
     act = tuple(
         tuple(label[X.carrier.action[g][comp[0]]] for comp in comps)
         for g in X.group.elements()
     )
-    return _trusted(GSet, X.group, len(comps), act), tuple(label)
+    return _trusted(GSet, X.group, len(comps), act), label
 
 
 def coarse_closure(X: BornCoarseSpace, A):

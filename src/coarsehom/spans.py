@@ -262,14 +262,8 @@ def pullback(g, V: BornCoarseSpace, u, U: BornCoarseSpace, Z: BornCoarseSpace):
     # of the diagonal one, and the intersection of two equivalence
     # relations is one, so it is a space by construction
     carrier, pts = fiber_product_gset(V.carrier, g, U.carrier, u)
-    blocks = {}
-    labels = []
-    for (v, x) in pts:
-        key = (V.coarse.block[v], U.coarse.block[x])
-        if key not in blocks:
-            blocks[key] = len(blocks)
-        labels.append(blocks[key])
-    W = _trusted(BornCoarseSpace, carrier, CoarseStructure(len(pts), tuple(labels)), "pullback")
+    labels = tuple((V.coarse.block[v], U.coarse.block[x]) for (v, x) in pts)
+    W = _trusted(BornCoarseSpace, carrier, CoarseStructure(len(pts), labels), "pullback")
     w = tuple(v for (v, x) in pts)
     f = tuple(x for (v, x) in pts)
 

@@ -2,8 +2,9 @@
 
 Deliberately separate implementation paths from the package: dense
 first-nonzero-pivot Smith reduction (no sparsity, no pivot strategy),
-brute-force homology via full tuple enumeration, and a second
-construction of orbit-category colimits with its own verdict decisions.
+brute-force homology via full tuple enumeration, a second
+construction of orbit-category colimits with its own verdict decisions,
+and subgroup lattices by testing every subset for closure.
 """
 
 import itertools
@@ -246,6 +247,52 @@ def brute_force_homology(X, maxdeg):
         torsion = tuple(sorted(d for d in divisors if d > 1))
         out.append((dim_ker - rank_im, torsion))
     return tuple(out)
+
+
+# -- subgroup lattice ---------------------------------------------------------
+
+
+def is_closed_subset(group, H):
+    """H contains the identity and is closed under the table product:
+    in a finite group, exactly the subgroups."""
+    return group.identity in H and all(group.table[a][b] in H for a in H for b in H)
+
+
+def oracle_subgroups(group):
+    """Every subgroup of a group of order at most 12, by testing each
+    subset that contains the identity for closure."""
+    if group.order > 12:
+        raise ValueError("subset enumeration is meant for |G| <= 12")
+    e = group.identity
+    rest = [x for x in group.elements() if x != e]
+    return [
+        H
+        for r in range(len(rest) + 1)
+        for extra in itertools.combinations(rest, r)
+        if is_closed_subset(group, H := frozenset((e,) + extra))
+    ]
+
+
+# subgroups per order, from the textbook subgroup lattices
+SUBGROUPS_PER_ORDER = {
+    "S4": {1: 1, 2: 9, 3: 4, 4: 7, 6: 4, 8: 3, 12: 1, 24: 1},
+    "A5": {1: 1, 2: 15, 3: 10, 4: 5, 5: 6, 6: 10, 10: 6, 12: 5, 60: 1},
+}
+
+
+def is_lattice(subs):
+    """The sets ``subs`` are closed under intersection, and every two of
+    them have a least upper bound among them (their join)."""
+    members = set(subs)
+    for i, H in enumerate(subs):
+        for K in subs[i:]:
+            if H & K not in members:
+                return False
+            bounds = [L for L in subs if H <= L and K <= L]
+            least = min(bounds, key=len)
+            if not all(least <= L for L in bounds):
+                return False
+    return True
 
 
 # -- independent colimit / assembly oracle ------------------------------------

@@ -350,6 +350,15 @@ def _with(path, value):
         ("homology", _with(["maps", "idX", "images"], [0, 7]), "/maps/idX: map idX is not equivariant"),
         ("homology", _with(["maps", "idX", "dst"], "T"), "/maps/idX/dst: a map from a finite space"),
         ("check-square", _with(["squares", "identity_square", "W"], "T"), "/squares/identity_square"),
+        # integer fields take JSON integers only: no booleans, floats or numeric strings
+        ("homology", _with(["groups", "c2"], {"table": [[0, 1], [1, False]]}), "/groups/c2/table/1/1: must be a JSON integer, got false"),
+        ("homology", _with(["gsets", "pts3", "trivial"], 3.7), "/gsets/pts3/trivial: must be a JSON integer, got 3.7"),
+        ("homology", _with(["gsets", "pts3"], {"group": "c2", "cosets_of": [0, True]}), "/gsets/pts3/cosets_of/1: must be a JSON integer, got true"),
+        ("homology", _with(["gsets", "free2", "action"], [[0, True], [True, 0]]), "/gsets/free2/action/0/1: must be a JSON integer, got true"),
+        ("homology", _with(["spaces", "Y", "coarse", "generators"], [[[0, "1"]]]), '/spaces/Y/coarse/generators/0/0/1: must be a JSON integer, got "1"'),
+        ("check-covering", _with(["maps", "proj", "images"], [0, True, 0, True]), "/maps/proj/images/1: must be a JSON integer, got true"),
+        ("homology", _with(["maps", "shift", "fiber_images"], [0, 1, 2.0]), "/maps/shift/fiber_images/2: must be a JSON integer, got 2.0"),
+        ("homology", _with(["maps", "shift", "shift"], True), "/maps/shift/shift: must be a JSON integer, got true"),
     ],
 )
 def test_malformed_workspace_exits_2_with_pointer(tmp_path, capsys, command, doc, pointer):
@@ -422,7 +431,7 @@ def test_malformed_documents_never_trace_back(data):
 
 
 @pytest.mark.parametrize("command", ["assembly", "mackey-table"])
-@pytest.mark.parametrize("content", ["[1, 2]", "[[0, 99]]", "[[[1]]]", "[[0, 0.5]]", "\udcff["])
+@pytest.mark.parametrize("content", ["[1, 2]", "[[0, 99]]", "[[[1]]]", "[[0, 0.5]]", "[[0, true]]", "\udcff["])
 def test_malformed_family_file_exits_2(tmp_path, capsys, command, content):
     p = tmp_path / "family.json"
     p.write_bytes(content.encode("utf-8", "surrogateescape"))

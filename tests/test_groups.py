@@ -1,11 +1,14 @@
 import pytest
+from oracles import SUBGROUPS_PER_ORDER, is_closed_subset, is_lattice, oracle_subgroups
 
 from coarsehom.errors import ValidationError
 from coarsehom.groups import (
+    GROUP_PRESETS,
     GSet,
     Group,
     alternating_group,
     all_subgroups,
+    commutator_subgroup,
     conjugacy_classes_of_subgroups,
     coset_gset,
     cyclic_group,
@@ -19,6 +22,7 @@ from coarsehom.groups import (
     trivial_group,
     trivial_gset,
 )
+from coarsehom.randgen import GROUP_CATALOG
 
 
 def test_group_table_validation():
@@ -182,3 +186,34 @@ def test_derived_gset_constructors_check_raw_arguments(c2):
         coset_gset(c2, [0, 99])
     with pytest.raises(ValidationError, match="requires a subgroup"):
         coset_gset(symmetric_group(3), [0, 1, 2])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(make, id=name) for name, make in GROUP_PRESETS.items()]
+    + [pytest.param(make, id=f"catalog{i}") for i, make in enumerate(GROUP_CATALOG)],
+)
+def test_all_subgroups_match_the_oracle(make):
+    g = make()
+    subs = all_subgroups(g)
+    if g.order <= 12:
+        assert subs == tuple(sorted(oracle_subgroups(g), key=lambda H: (len(H), sorted(H))))
+        return
+    # distinct subgroups, as many of each order as the textbook lists: all of them
+    assert len(set(subs)) == len(subs)
+    assert all(is_closed_subset(g, H) for H in subs)
+    per_order = {}
+    for H in subs:
+        per_order[len(H)] = per_order.get(len(H), 0) + 1
+    assert per_order == SUBGROUPS_PER_ORDER[g.name]
+    assert is_lattice(subs)
+
+
+def test_commutator_subgroups():
+    s4, a4 = symmetric_group(4), alternating_group(4)
+    # S4' = A4: the even permutations, the subgroup of order 12
+    a4_in_s4 = next(H for H in all_subgroups(s4) if len(H) == 12)
+    assert commutator_subgroup(s4, frozenset(s4.elements())) == a4_in_s4
+    # A4' = V4: its only subgroup of order 4
+    v4_in_a4 = next(H for H in all_subgroups(a4) if len(H) == 4)
+    assert commutator_subgroup(a4, frozenset(a4.elements())) == v4_in_a4

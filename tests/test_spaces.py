@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from coarsehom.errors import ValidationError
 from coarsehom.groups import GSet, cyclic_group, trivial_group, trivial_gset
 from coarsehom.spaces import (
+    BornCoarseSpace,
+    CoarseStructure,
     bounded_union,
     coarse_closure,
     coarsely_disjoint,
@@ -206,6 +208,17 @@ def test_space_isomorphism_search(c2, free2_min):
     other = minimal_space(GSet(c2, 2, ((0, 1), (1, 0))))
     assert spaces_isomorphic(free2_min, other)
     assert not spaces_isomorphic(free2_min, minimal_space(trivial_gset(c2, 2)))
+
+
+def test_block_labels_are_numbered_canonically(triv):
+    gs = trivial_gset(triv, 3)
+    relabelled = BornCoarseSpace(gs, CoarseStructure(3, (1, 1, 0)))
+    canonical = BornCoarseSpace(gs, CoarseStructure(3, (0, 0, 1)))
+    assert relabelled.coarse == canonical.coarse
+    assert relabelled.coarse.block == (0, 0, 1)
+    assert spaces_isomorphic(relabelled, canonical)
+    with pytest.raises(ValidationError, match="2 block labels for a carrier of size 3"):
+        CoarseStructure(3, (0, 0))
 
 
 def test_restrict_by_components_recovers_structure(chain3, free2_min):
