@@ -28,10 +28,10 @@ from .spaces import (
 from .spans import inclusion_at, projection_map
 from .homology import (
     SpaceComplex,
+    canonical_tuple,
     chain_map_commutes,
     homology_map_from_chain_cols,
     hom_is_identity,
-    orbit_rep_of_tuple,
     pullback_chain_cols,
     pushforward_chain_cols,
     scols_mul,
@@ -107,7 +107,7 @@ def check_excision(X: BornCoarseSpace, Z, Ys, maxdeg=2):
     for n in range(maxdeg + 2):
         cols = []
         for rep in rel_z.bases[n]:
-            img = orbit_rep_of_tuple(X, tuple(incl[p] for p in rep))
+            img = canonical_tuple(X, tuple(incl[p] for p in rep))[0]
             j = rel_x.index[n].get(img)
             if j is None:
                 raise InternalCheckError("relative basis image escaped the relative complex")

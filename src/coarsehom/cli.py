@@ -246,7 +246,15 @@ def parse_workspace(doc):
         elif task["op"] == "run":
             errs.add(f"/tasks/{i}/op", "a task cannot run the task list")
         else:
-            ws.tasks.append(task)
+            try:
+                for key, val in task.items():
+                    if key in ("max_degree", "degree", "cases", "seed"):
+                        _ints(val, f"/{key}")
+                    elif not isinstance(val, str):
+                        raise ValidationError(f"/{key}: must be a JSON string, got {json.dumps(val)}")
+                ws.tasks.append(task)
+            except ValidationError as e:
+                errs.add(f"/tasks/{i}", str(e))
 
     errs.raise_if_any()
     return ws

@@ -7,6 +7,12 @@ finiteness is automatic, so the chain group is free on the G-orbits of
 component-constrained tuples.  The differential is the alternating sum
 of the face maps omitting one entry (entry i with sign (-1)^i).
 
+Every orbit is named by its least tuple (``canonical_tuple``), and the
+differential and the chain maps are read off canonical tuples and
+stabilizer orders, never by walking an orbit (the induction isomorphism):
+the orbit sum [t] has boundary sum_i (-1)^i |Stab(d_i t)|/|Stab(t)| [d_i t],
+and an equivariant map f sends [t] to |Stab(f t)|/|Stab(t)| [f t].
+
 A generalized morphism [W, w, f] acts by f_* o w^*, where w^* pulls
 back along the covering and multiplies by the characteristic function
 of component-constrained tuples, and f_* sums over fibers.  Homology
@@ -30,25 +36,30 @@ def _require_finite(X, what="this operation"):
         raise OutOfScopeError(f"{what} supports finite carriers only")
 
 
-def orbit_rep_of_tuple(X: BornCoarseSpace, t):
-    act = X.carrier.action
-    return min(tuple(act[g][x] for x in t) for g in X.group.elements())
+def canonical_tuple(X: BornCoarseSpace, t):
+    """The least tuple in the G-orbit of t, and |Stab(t)|.  The least
+    tuple starts at m, the least point of the orbit of t[0], so only the
+    g with g.t[0] = m are tried: a coset of Stab(t[0]), exactly |Stab(t)|
+    of whose elements move t onto the least tuple."""
+    x = t[0]
+    rows = X.carrier.action
+    m = min(row[x] for row in rows)
+    images = [tuple(row[y] for y in t) for row in rows if row[x] == m]
+    least = min(images)
+    return least, images.count(least)
 
 
 def chain_basis(X: BornCoarseSpace, n):
-    """G-orbit representatives (lexicographically minimal) of
-    component-constrained (n+1)-tuples, sorted."""
+    """Canonical tuples of the G-orbits of component-constrained
+    (n+1)-tuples, sorted.  Each orbit meets the tuples (m, t1..tn) with m
+    the least point of a carrier orbit and every ti in m's component."""
     _require_finite(X, "chain_basis")
+    comps = X.components()
     reps = set()
-    for comp in X.components():
-        for t in itertools.product(comp, repeat=n + 1):
-            reps.add(orbit_rep_of_tuple(X, t))
+    for m in (orbit[0] for orbit in X.carrier.orbits()):
+        for rest in itertools.product(comps[X.coarse.block[m]], repeat=n):
+            reps.add(canonical_tuple(X, (m,) + rest)[0])
     return sorted(reps)
-
-
-def _orbit_of_tuple(X, t):
-    act = X.carrier.action
-    return {tuple(act[g][x] for x in t) for g in X.group.elements()}
 
 
 # -- sparse column helpers ---------------------------------------------------
@@ -76,6 +87,8 @@ def scols_eq(A_cols, B_cols):
 
 
 def scols_apply(cols, vec, nrows):
+    if len(vec) != len(cols):
+        raise ValidationError(f"chain vector has {len(vec)} entries for a basis of {len(cols)}")
     out = [0] * nrows
     for j, col in enumerate(cols):
         v = vec[j]
@@ -125,16 +138,13 @@ class SpaceComplex:
         cols = []
         lower = self.index[n - 1]
         for rep in self.bases[n]:
-            counts = {}
-            for t in _orbit_of_tuple(self.X, rep):
-                for i in range(n + 1):
-                    face = t[:i] + t[i + 1 :]
-                    counts[face] = counts.get(face, 0) + (1 if i % 2 == 0 else -1)
+            stab = canonical_tuple(self.X, rep)[1]
             col = {}
-            for face, v in counts.items():
+            for i in range(n + 1):
+                face, face_stab = canonical_tuple(self.X, rep[:i] + rep[i + 1 :])
                 idx = lower.get(face)
-                if idx is not None and v:
-                    col[idx] = col.get(idx, 0) + v
+                if idx is not None:
+                    col[idx] = col.get(idx, 0) + (-1) ** i * (face_stab // stab)
             cols.append({i: v for i, v in col.items() if v})
         self._boundaries[n] = cols
         return cols
@@ -334,7 +344,7 @@ def pullback_chain_cols(w, W: BornCoarseSpace, X: BornCoarseSpace, cxW, cxX, n):
     component-constrained tuples, identically 1 on basis orbits."""
     cols = [dict() for _ in cxX.bases[n]]
     for row, repW in enumerate(cxW.bases[n]):
-        img = orbit_rep_of_tuple(X, tuple(w[x] for x in repW))
+        img = canonical_tuple(X, tuple(w[x] for x in repW))[0]
         j = cxX.index[n].get(img)
         if j is not None:
             cols[j][row] = 1
@@ -345,16 +355,9 @@ def pushforward_chain_cols(f, W: BornCoarseSpace, Y: BornCoarseSpace, cxW, cxY, 
     """f_*: C_n(W) -> C_n(Y) for a controlled proper map: fiber sums."""
     cols = []
     for repW in cxW.bases[n]:
-        counts = {}
-        for t in _orbit_of_tuple(W, repW):
-            img = tuple(f[x] for x in t)
-            counts[img] = counts.get(img, 0) + 1
-        col = {}
-        for img, c in counts.items():
-            idx = cxY.index[n].get(img)
-            if idx is not None:
-                col[idx] = col.get(idx, 0) + c
-        cols.append({i: v for i, v in col.items() if v})
+        img, img_stab = canonical_tuple(Y, tuple(f[x] for x in repW))
+        idx = cxY.index[n].get(img)
+        cols.append({} if idx is None else {idx: img_stab // canonical_tuple(W, repW)[1]})
     return cols
 
 
@@ -411,6 +414,8 @@ def validate_chain_table(X: BornCoarseSpace, n, table):
     for t, v in table.items():
         if len(t) != n + 1:
             raise ValidationError(f"tuple {t} has wrong length")
+        if any(x not in range(X.size) for x in t):
+            raise ValidationError(f"tuple {t} has a point outside the carrier")
         if v == 0:
             continue
         for g in X.group.elements():
@@ -419,22 +424,18 @@ def validate_chain_table(X: BornCoarseSpace, n, table):
                 raise ValidationError(f"table is not G-invariant at {t}")
         if len({X.coarse.block[x] for x in t}) != 1:
             raise ValidationError(f"support tuple {t} is not controlled")
-    basis = chain_basis(X, n)
-    index = {t: i for i, t in enumerate(basis)}
-    vec = [0] * len(basis)
-    for t, v in table.items():
-        if v and t == orbit_rep_of_tuple(X, t):
-            vec[index[t]] = v
-    return vec
+    return [table.get(t, 0) for t in chain_basis(X, n)]
 
 
 def chain_table_from_vector(X: BornCoarseSpace, n, vec):
     basis = chain_basis(X, n)
+    if len(vec) != len(basis):
+        raise ValidationError(f"chain vector has {len(vec)} entries for a basis of {len(basis)}")
     table = {}
-    for i, v in enumerate(vec):
+    for rep, v in zip(basis, vec):
         if v:
-            for t in _orbit_of_tuple(X, basis[i]):
-                table[t] = v
+            for row in X.carrier.action:
+                table[tuple(row[x] for x in rep)] = v
     return table
 
 

@@ -2,7 +2,8 @@
 
 Deliberately separate implementation paths from the package: dense
 first-nonzero-pivot Smith reduction (no sparsity, no pivot strategy),
-brute-force homology via full tuple enumeration, a second
+brute-force homology via full tuple enumeration, the chain layer by
+whole-group orbit scans (no canonical tuples, no stabilizers), a second
 construction of orbit-category colimits with its own verdict decisions,
 and subgroup lattices by testing every subset for closure.
 """
@@ -247,6 +248,65 @@ def brute_force_homology(X, maxdeg):
         torsion = tuple(sorted(d for d in divisors if d > 1))
         out.append((dim_ker - rank_im, torsion))
     return tuple(out)
+
+
+# -- the chain layer by whole orbits -------------------------------------------
+
+
+def _orbit(X, t):
+    act = X.carrier.action
+    return {tuple(act[g][x] for x in t) for g in X.group.elements()}
+
+
+def oracle_chain_basis(X, n):
+    """The least tuple of the orbit of every component-constrained
+    (n+1)-tuple, found by applying every group element, sorted."""
+    return sorted(
+        {min(_orbit(X, t)) for comp in X.components() for t in itertools.product(comp, repeat=n + 1)}
+    )
+
+
+def oracle_boundary_cols(X, basis, lower_basis):
+    """Columns of d over the given orbit bases: every face of every point
+    of each basis orbit, counted where it is a lower basis tuple."""
+    lower = {t: i for i, t in enumerate(lower_basis)}
+    cols = []
+    for rep in basis:
+        col = {}
+        for t in _orbit(X, rep):
+            for i in range(len(t)):
+                idx = lower.get(t[:i] + t[i + 1 :])
+                if idx is not None:
+                    col[idx] = col.get(idx, 0) + (-1) ** i
+        cols.append({i: v for i, v in col.items() if v})
+    return cols
+
+
+def oracle_pullback_cols(w, X, basis_W, basis_X):
+    """w^*: every W-basis orbit goes into the column of the X-orbit of
+    its image."""
+    index = {t: i for i, t in enumerate(basis_X)}
+    cols = [{} for _ in basis_X]
+    for row, rep in enumerate(basis_W):
+        j = index.get(min(_orbit(X, tuple(w[x] for x in rep))))
+        if j is not None:
+            cols[j][row] = 1
+    return cols
+
+
+def oracle_pushforward_cols(f, W, basis_W, basis_Y):
+    """f_*: the image of every point of each W-basis orbit, counted where
+    it is a Y-basis tuple."""
+    index = {t: i for i, t in enumerate(basis_Y)}
+    cols = []
+    for rep in basis_W:
+        col = {}
+        for t in _orbit(W, rep):
+            idx = index.get(tuple(f[x] for x in t))
+            if idx is not None:
+                col[idx] = col.get(idx, 0) + 1
+        cols.append(col)
+    return cols
 
 
 # -- subgroup lattice ---------------------------------------------------------

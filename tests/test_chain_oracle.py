@@ -1,0 +1,137 @@
+"""The chain layer against the whole-group oracle in ``tests/oracles.py``.
+
+The package names every orbit by ``canonical_tuple`` and reads the
+boundary and the chain maps off stabilizer orders; the oracle applies
+every group element to every basis tuple.  Bases must be equal and
+columns equal as dicts, on seeded random spaces with non-free actions,
+on relative complexes, on spaces built from out-of-order block labels
+and over a group table whose identity is not element 0.
+"""
+
+from random import Random
+
+import pytest
+
+from coarsehom.axioms import subspace
+from coarsehom.groups import Group, cyclic_group, symmetric_group
+from coarsehom.homology import (
+    SpaceComplex,
+    canonical_tuple,
+    pullback_chain_cols,
+    pushforward_chain_cols,
+)
+from coarsehom.randgen import (
+    FuzzConfig,
+    random_complementary_pair,
+    random_space,
+    random_span,
+)
+from coarsehom.spaces import BornCoarseSpace, CoarseStructure
+from oracles import (
+    oracle_boundary_cols,
+    oracle_chain_basis,
+    oracle_pullback_cols,
+    oracle_pushforward_cols,
+)
+
+CFG = FuzzConfig(max_points=8, max_component=4)
+MAXDEG = 2
+
+
+def relabelled(group):
+    """The same group with element g renamed g + 1 mod |G|, so that its
+    identity is not element 0."""
+    n = group.order
+    table = [[0] * n for _ in range(n)]
+    for a in group.elements():
+        for b in group.elements():
+            table[(a + 1) % n][(b + 1) % n] = (group.mul(a, b) + 1) % n
+    return Group(tuple(map(tuple, table)), name=group.name + "'")
+
+
+def assert_complex_matches(cx, keep=lambda t: True):
+    """Bases are the oracle's (less the excluded tuples) and every
+    boundary is the oracle's on those bases."""
+    X = cx.X
+    for n in range(MAXDEG + 2):
+        assert cx.bases[n] == [t for t in oracle_chain_basis(X, n) if keep(t)]
+        if n:
+            assert cx.boundary_cols(n) == oracle_boundary_cols(X, cx.bases[n], cx.bases[n - 1])
+
+
+def assert_span_matches(span):
+    """Both legs of a span, as chain maps, are the oracle's."""
+    cxX, cxW, cxY = (SpaceComplex(s, MAXDEG) for s in (span.src, span.apex, span.dst))
+    for n in range(MAXDEG + 1):
+        assert pullback_chain_cols(span.left, span.apex, span.src, cxW, cxX, n) == (
+            oracle_pullback_cols(span.left, span.src, cxW.bases[n], cxX.bases[n])
+        )
+        assert pushforward_chain_cols(span.right, span.apex, span.dst, cxW, cxY, n) == (
+            oracle_pushforward_cols(span.right, span.apex, cxW.bases[n], cxY.bases[n])
+        )
+
+
+def test_canonical_tuple_is_the_orbit_minimum_and_counts_the_stabilizer():
+    for seed in range(60):
+        rng = Random(seed)
+        X = random_space(rng, CFG)
+        act = X.carrier.action
+        for _ in range(10):
+            t = tuple(rng.randrange(X.size) for _ in range(rng.randrange(1, 5)))
+            orbit = [tuple(row[x] for x in t) for row in act]
+            stab = sum(1 for image in orbit if image == t)
+            assert canonical_tuple(X, t) == (min(orbit), stab)
+
+
+@pytest.mark.parametrize("seeds", [range(0, 40), range(40, 80)])
+def test_chain_layer_matches_oracle_on_random_spaces(seeds):
+    for seed in seeds:
+        rng = Random(seed)
+        X = random_space(rng, CFG)
+        assert_complex_matches(SpaceComplex(X, MAXDEG))
+        assert_span_matches(random_span(rng, X, CFG))
+
+
+def test_relative_complexes_match_oracle():
+    """The relative complexes of excision and the inclusion between them."""
+    for seed in range(40):
+        rng = Random(seed)
+        X = random_space(rng, CFG)
+        Z, Ys = random_complementary_pair(rng, X)
+        Y = set(Ys[-1])
+        Zspace, incl = subspace(X, Z)
+        zy = {k for k, p in enumerate(incl) if p in Y}
+        out_x, out_z = (lambda t: all(p in Y for p in t)), (lambda t: all(p in zy for p in t))
+        rel_x = SpaceComplex(X, MAXDEG, exclude=out_x)
+        rel_z = SpaceComplex(Zspace, MAXDEG, exclude=out_z)
+        assert_complex_matches(rel_x, keep=lambda t: not out_x(t))
+        assert_complex_matches(rel_z, keep=lambda t: not out_z(t))
+        for n in range(MAXDEG + 2):
+            assert pushforward_chain_cols(incl, Zspace, X, rel_z, rel_x, n) == (
+                oracle_pushforward_cols(incl, Zspace, rel_z.bases[n], rel_x.bases[n])
+            )
+
+
+def test_out_of_order_block_labels_match_oracle():
+    for seed in range(40):
+        X = random_space(Random(seed), CFG)
+        ncomps = len(X.components())
+        labels = tuple(f"c{ncomps - b}" for b in X.coarse.block)  # the last block first
+        Xr = BornCoarseSpace(X.carrier, CoarseStructure(X.size, labels))
+        cx, cxr = SpaceComplex(X, MAXDEG), SpaceComplex(Xr, MAXDEG)
+        assert_complex_matches(cxr)
+        assert cxr.bases == cx.bases
+        assert [cxr.boundary_cols(n) for n in range(1, MAXDEG + 2)] == [
+            cx.boundary_cols(n) for n in range(1, MAXDEG + 2)
+        ]
+
+
+@pytest.mark.parametrize("make", [lambda: symmetric_group(3), lambda: cyclic_group(4)])
+def test_group_with_identity_not_zero_matches_oracle(make):
+    G = relabelled(make())
+    assert G.identity != 0
+    for seed in range(25):
+        rng = Random(seed)
+        X = random_space(rng, CFG, group=G)
+        assert_complex_matches(SpaceComplex(X, MAXDEG))
+        assert_span_matches(random_span(rng, X, CFG))

@@ -359,6 +359,13 @@ def _with(path, value):
         ("check-covering", _with(["maps", "proj", "images"], [0, True, 0, True]), "/maps/proj/images/1: must be a JSON integer, got true"),
         ("homology", _with(["maps", "shift", "fiber_images"], [0, 1, 2.0]), "/maps/shift/fiber_images/2: must be a JSON integer, got 2.0"),
         ("homology", _with(["maps", "shift", "shift"], True), "/maps/shift/shift: must be a JSON integer, got true"),
+        # task options: integer ones take JSON integers, the others JSON strings
+        ("run", _with(["tasks", 0, "max_degree"], "1"), '/tasks/0/max_degree: must be a JSON integer, got "1"'),
+        ("run", _with(["tasks", 0, "max_degree"], True), "/tasks/0/max_degree: must be a JSON integer, got true"),
+        ("run", _with(["tasks", 0, "max_degree"], 1.5), "/tasks/0/max_degree: must be a JSON integer, got 1.5"),
+        ("run", _with(["tasks", 0, "max_degree"], [1]), "/tasks/0/max_degree: must be a JSON integer, got [1]"),
+        ("run", _with(["tasks", 3, "degree"], "0"), '/tasks/3/degree: must be a JSON integer, got "0"'),
+        ("run", _with(["tasks", 0, "name"], 5), "/tasks/0/name: must be a JSON string, got 5"),
     ],
 )
 def test_malformed_workspace_exits_2_with_pointer(tmp_path, capsys, command, doc, pointer):

@@ -158,6 +158,21 @@ def test_chain_table_validation(free2_min, c2):
         validate_chain_table(X, 1, {(0, 1): 1, (1, 0): 1})  # not controlled
 
 
+def test_chain_vectors_from_outside_are_checked(free2_min):
+    X = free2_min  # one free C2-orbit: a one-element basis in degree 0
+    for bad in ([1, 2, 3], []):
+        with pytest.raises(ValidationError, match="chain vector has"):
+            pushforward_chain((0, 1), X, X, bad, 0)
+        with pytest.raises(ValidationError, match="chain vector has"):
+            transfer_chain((0, 1), X, X, bad, 0)
+        with pytest.raises(ValidationError, match="chain vector has"):
+            chain_table_from_vector(X, 0, bad)
+    assert chain_table_from_vector(X, 0, [3]) == {(0,): 3, (1,): 3}
+    for t in ((5,), (-1,), ("a",)):
+        with pytest.raises(ValidationError, match="outside the carrier"):
+            validate_chain_table(X, 0, {t: 1})
+
+
 def test_pushforward_examples(triv, pt):
     X = minimal_space(trivial_gset(triv, 2))
     # identity
