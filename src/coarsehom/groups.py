@@ -15,7 +15,7 @@ take raw arguments keep a cheap check on those.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 
 from .errors import ValidationError
@@ -200,7 +200,10 @@ GROUP_PRESETS = {
 class GSet:
     """A finite set with a left action of a finite group.
 
-    ``action[g][x]`` is g.x.  Validated to be a genuine action.
+    ``action[g][x]`` is g.x.  Validated to be a genuine action.  The
+    transporter table ``transporters`` is built on first use and kept on
+    the instance, outside the dataclass fields, so it takes no part in
+    equality or hashing.
     """
 
     group: Group
@@ -247,6 +250,18 @@ class GSet:
 
     def stabilizer(self, x):
         return frozenset(g for g in self.group.elements() if self.action[g][x] == x)
+
+    @cached_property
+    def transporters(self):
+        """The transporter table: per point x, the action rows of the g
+        with g.x = min(G.x), in element order (a left coset of Stab(x)).
+        Built once per G-set, on first use."""
+        rows = self.action
+        table = []
+        for x in range(self.size):
+            m = min(row[x] for row in rows)
+            table.append(tuple(row for row in rows if row[x] == m))
+        return tuple(table)
 
     def fixed_points(self, H):
         return [x for x in range(self.size) if all(self.action[g][x] == x for g in H)]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InternalCheckError, OutOfScopeError, ValidationError
 from .snf import AbHom, FPAbGroup, smith_normal_form
@@ -39,12 +40,13 @@ def _require_finite(X, what="this operation"):
 def canonical_tuple(X: BornCoarseSpace, t):
     """The least tuple in the G-orbit of t, and |Stab(t)|.  The least
     tuple starts at m, the least point of the orbit of t[0], so only the
-    g with g.t[0] = m are tried: a coset of Stab(t[0]), exactly |Stab(t)|
+    g with g.t[0] = m are tried: a coset of Stab(t[0]), read from the
+    carrier's transporter table (``GSet.transporters``), exactly |Stab(t)|
     of whose elements move t onto the least tuple."""
-    x = t[0]
-    rows = X.carrier.action
-    m = min(row[x] for row in rows)
-    images = [tuple(row[y] for y in t) for row in rows if row[x] == m]
+    rows = X.carrier.transporters[t[0]]
+    if len(t) == 1:  # every transporter sends t onto (m,)
+        return (rows[0][t[0]],), len(rows)
+    images = list(map(itemgetter(*t), rows))
     least = min(images)
     return least, images.count(least)
 
@@ -183,7 +185,6 @@ class SpaceComplex:
                 kernel_cols = list(range(m_local))
                 K = [{j: 1} for j in kernel_cols]
                 vinv_cols = [{j: 1} for j in kernel_cols]
-                pivot_cols = set()
             else:
                 upper_rows = [i for i, sl in enumerate(self.slice_of[n - 1]) if sl == s]
                 upos = {r: k for k, r in enumerate(upper_rows)}
@@ -201,7 +202,7 @@ class SpaceComplex:
                     for k, v in vinv_row.items():
                         vinv_cols[k][r] = v
             kdim = len(kernel_cols)
-            solver = _CycleCoords(vinv_cols, pivot_cols, kernel_cols, row_pos)
+            solver = _CycleCoords(vinv_cols, kernel_cols, row_pos)
 
             dnp1 = self.boundary_cols(n + 1)
             img_coords = []
@@ -242,7 +243,7 @@ class SpaceComplex:
                 for k, r in enumerate(sl.rows):
                     chain[r] = loc[k]
                 cycles.append(chain)
-        data = _HomologyGroup(self, n, slices, group, cycles)
+        data = _HomologyGroup(slices, group, cycles)
         self._hom[n] = data
         return data
 
@@ -256,10 +257,9 @@ class _CycleCoords:
     kernel basis.
     """
 
-    def __init__(self, vinv_cols, pivot_cols, kernel_cols, row_pos):
+    def __init__(self, vinv_cols, kernel_cols, row_pos):
         self.vinv_cols = vinv_cols
-        self.pivot_cols = pivot_cols
-        self.kernel_cols = kernel_cols
+        self.kernel_pos = {j: k for k, j in enumerate(kernel_cols)}
         self.row_pos = row_pos
 
     def coords(self, col):
@@ -274,9 +274,14 @@ class _CycleCoords:
                 return None  # support outside the slice
             for r, w in self.vinv_cols[k].items():
                 acc[r] = acc.get(r, 0) + c * w
-        if any(v and r in self.pivot_cols for r, v in acc.items()):
-            return None
-        return [acc.get(j, 0) for j in self.kernel_cols]
+        out = [0] * len(self.kernel_pos)
+        for r, v in acc.items():
+            if v:
+                k = self.kernel_pos.get(r)
+                if k is None:
+                    return None  # a nonzero pivot coordinate
+                out[k] = v
+        return out
 
 
 class _SliceHom:
@@ -291,8 +296,10 @@ class _SliceHom:
 
 @dataclass
 class _HomologyGroup:
-    complex: object
-    degree: int
+    """Homology data of one degree.  It holds no reference back to its
+    complex, which caches it: without that cycle a complex and its
+    homology data are freed as soon as the last reference goes."""
+
     slices: list
     group: FPAbGroup
     gen_cycles: list  # one chain vector per canonical generator

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from .errors import InternalCheckError, ValidationError
 
@@ -94,37 +95,19 @@ def _dense_square(vecs, n, columns):
 # -- sparse Smith normal form ------------------------------------------------
 
 
-class _Sparse:
-    """Row-major sparse matrix with a column index."""
-
-    def __init__(self, dense, m, n):
-        self.m, self.n = m, n
-        self.rows = {}
-        self.cols = {}
-        for i in range(m):
-            for j in range(n):
-                v = dense[i][j]
-                if v:
-                    self.rows.setdefault(i, {})[j] = v
-                    self.cols.setdefault(j, set()).add(i)
-
-    def get(self, i, j):
-        return self.rows.get(i, {}).get(j, 0)
-
-    def set(self, i, j, v):
-        if v:
-            self.rows.setdefault(i, {})[j] = v
-            self.cols.setdefault(j, set()).add(i)
-        else:
-            row = self.rows.get(i)
-            if row and j in row:
-                del row[j]
-                if not row:
-                    del self.rows[i]
-                col = self.cols[j]
-                col.discard(i)
-                if not col:
-                    del self.cols[j]
+def _sparse(dense, m, n):
+    """Row dicts and column index sets of the nonzeros of a dense m x n
+    matrix, rows in ascending column order."""
+    rows, cols = {}, {}
+    positions = range(n)
+    for i in range(m):
+        row = dense[i]
+        if len(row) != n:
+            raise ValidationError(f"matrix row {i} has {len(row)} entries, not {n}")
+        for j in compress(positions, row):
+            rows.setdefault(i, {})[j] = row[j]
+            cols.setdefault(j, set()).add(i)
+    return rows, cols
 
 
 @dataclass
@@ -175,46 +158,82 @@ class SNFResult:
 def smith_normal_form(dense, m=None, n=None, track_u=False, track_v=False):
     """Smith normal form with partial pivoting on magnitude.
 
-    Each round picks the nonzero entry of least absolute value (ties by
-    least fill), clears its row and column by Euclid steps, then folds
-    in any remaining entry the pivot fails to divide; the diagonal
-    therefore comes out in divisibility order.
+    Pivot rule: each round takes, over the active rows in ascending order
+    and the entries of each row in insertion order, the first entry of
+    least |v|, ties broken by least (len(row) - 1) * (len(col) - 1); the
+    search stops at the first entry with key (1, 0).  Elimination clears
+    the pivot's row and column by Euclid steps, then folds in any
+    remaining entry the pivot fails to divide, so the diagonal comes out
+    in divisibility order.  The fold is skipped after a pivot of +-1,
+    which divides everything.
+
+    Invariant: active rows hold entries only in active columns, and a
+    finished pivot row and column hold only their diagonal entry.  So the
+    active block needs no column filter, and a row's active length is
+    its length.
     """
     if m is None:
         m = len(dense)
     if n is None:
         n = len(dense[0]) if dense else 0
-    A = _Sparse(dense, m, n)
+    rows, cols = _sparse(dense, m, n)
     U = [{i: 1} for i in range(m)] if track_u else None  # rows
     Uinv = [{i: 1} for i in range(m)] if track_u else None  # columns
     V = [{j: 1} for j in range(n)] if track_v else None  # columns
     Vinv = [{j: 1} for j in range(n)] if track_v else None  # rows
 
+    def drop(i, j):
+        """Remove (i, j) from the column index once the entry is zero."""
+        col = cols[j]
+        col.discard(i)
+        if not col:
+            del cols[j]
+
     def row_addmul(k, i, q):
         """row_k += q * row_i, with U := E U and Uinv := Uinv E^{-1}."""
-        for j, v in list(A.rows.get(i, {}).items()):
-            A.set(k, j, A.get(k, j) + q * v)
+        if not q:
+            return
+        dst = rows[k]
+        for j, v in rows[i].items():
+            x = dst.get(j, 0) + q * v
+            if x:
+                if j not in dst:
+                    cols.setdefault(j, set()).add(k)
+                dst[j] = x
+            elif j in dst:
+                del dst[j]
+                drop(k, j)
         if track_u:
             _addmul(U[k], U[i], q)
             _addmul(Uinv[i], Uinv[k], -q)
 
     def col_addmul(l, j, q):
         """col_l += q * col_j, with V := V E and Vinv := E^{-1} Vinv."""
-        for i in list(A.cols.get(j, set())):
-            A.set(i, l, A.get(i, l) + q * A.rows[i][j])
+        if not q:
+            return
+        for i in cols[j]:
+            row = rows[i]
+            x = row.get(l, 0) + q * row[j]
+            if x:
+                if l not in row:
+                    cols.setdefault(l, set()).add(i)
+                row[l] = x
+            elif l in row:
+                del row[l]
+                drop(i, l)
         if track_v:
             _addmul(V[l], V[j], q)
             _addmul(Vinv[j], Vinv[l], -q)
 
     def negate_row(i):
-        for j in list(A.rows.get(i, {})):
-            A.rows[i][j] = -A.rows[i][j]
+        row = rows[i]
+        for j in row:
+            row[j] = -row[j]
         if track_u:
             U[i] = {j: -v for j, v in U[i].items()}
             Uinv[i] = {r: -v for r, v in Uinv[i].items()}
 
-    active_rows = set(range(m))
-    active_cols = set(range(n))
+    active_rows = set(range(m))  # iterates in ascending order: small ints hash to themselves
     pivots = []
     divisors = []
 
@@ -223,78 +242,61 @@ def smith_normal_form(dense, m=None, n=None, track_u=False, track_v=False):
         smaller remainder appears, so |pivot| strictly decreases and the
         loop terminates.  Returns the final pivot position."""
         while True:
-            moved = False
-            for k in list(A.cols.get(pj, set())):
-                if k == pi or k not in active_rows:
-                    continue
-                piv = A.get(pi, pj)
-                q = A.get(k, pj) // piv
-                row_addmul(k, pi, -q)
-                if A.get(k, pj) != 0:
-                    pi = k
-                    moved = True
-                    break
-            if moved:
-                continue
-            for l in list(A.rows.get(pi, {})):
-                if l == pj or l not in active_cols:
-                    continue
-                piv = A.get(pi, pj)
-                q = A.get(pi, l) // piv
-                col_addmul(l, pj, -q)
-                if A.get(pi, l) != 0:
-                    pj = l
-                    moved = True
-                    break
-            if not moved:
-                return pi, pj
+            piv = rows[pi][pj]
+            for k in list(cols[pj]):
+                if k != pi:
+                    row_addmul(k, pi, -(rows[k][pj] // piv))
+                    if pj in rows[k]:
+                        pi = k
+                        break
+            else:
+                for l in list(rows[pi]):
+                    if l != pj:
+                        col_addmul(l, pj, -(rows[pi][l] // piv))
+                        if l in rows[pi]:
+                            pj = l
+                            break
+                else:
+                    return pi, pj
 
     while True:
-        best = None
+        best = 0  # least |v| so far; 0 while no entry is found
         for i in active_rows:
-            row = A.rows.get(i)
+            row = rows.get(i)
             if not row:
                 continue
-            nr = sum(1 for j in row if j in active_cols)
+            nr = len(row) - 1
             for j, v in row.items():
-                if j not in active_cols:
+                a = v if v > 0 else -v
+                if best and a > best:
                     continue
-                key = (abs(v), (nr - 1) * (len(A.cols[j]) - 1))
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-            if best and best[0] == (1, 0):
+                fill = nr * (len(cols[j]) - 1)
+                if not best or a < best or fill < best_fill:
+                    best, best_fill, pi, pj = a, fill, i, j
+                    if a == 1 and not fill:
+                        break
+            if best == 1 and not best_fill:
                 break
-        if best is None:
+        if not best:
             break
-        _, pi, pj = best
 
         pi, pj = eliminate(pi, pj)
-        while True:
-            piv = A.get(pi, pj)
-            offender = None
-            for i in active_rows:
-                if i == pi:
-                    continue
-                row = A.rows.get(i)
-                if not row:
-                    continue
-                for j, v in row.items():
-                    if j in active_cols and v % piv != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+        while rows[pi][pj] not in (1, -1):
+            piv = rows[pi][pj]
+            offender = next(
+                (i for i in active_rows if i != pi and any(v % piv for v in rows.get(i, {}).values())),
+                None,
+            )
             if offender is None:
                 break
             row_addmul(pi, offender, 1)
             pi, pj = eliminate(pi, pj)
 
-        if A.get(pi, pj) < 0:
+        if rows[pi][pj] < 0:
             negate_row(pi)
         pivots.append((pi, pj))
-        divisors.append(A.get(pi, pj))
+        divisors.append(rows[pi][pj])
         active_rows.discard(pi)
-        active_cols.discard(pj)
 
     for a, b in zip(divisors, divisors[1:]):
         if b % a != 0:
@@ -327,8 +329,10 @@ def solve_int(dense, b, m=None, n=None):
         m = len(dense)
     if n is None:
         n = len(dense[0]) if dense else 0
-    res = smith_normal_form(dense, m, n, track_u=True, track_v=True)
     b = list(b)
+    if len(b) != m:
+        raise ValidationError(f"right-hand side has {len(b)} entries for {m} rows")
+    res = smith_normal_form(dense, m, n, track_u=True, track_v=True)
     pivot_of_row = {pi: (pj, d) for (pi, pj), d in zip(res.pivots, res.divisors)}
     x = [0] * n
     for i, row in enumerate(res.u_rows):
@@ -475,7 +479,10 @@ class AbHom:
                 raise ValidationError("matrix does not descend to the quotients")
 
     def apply(self, v):
-        return mat_vec(self.matrix, list(v))
+        v = list(v)
+        if len(v) != self.src.ngens:
+            raise ValidationError(f"element has {len(v)} entries for {self.src.ngens} generators")
+        return mat_vec(self.matrix, v)
 
     def agrees_with(self, matrix):
         """Does ``matrix`` send every generator of src where this map

@@ -2,6 +2,8 @@
 
 Deliberately separate implementation paths from the package: dense
 first-nonzero-pivot Smith reduction (no sparsity, no pivot strategy),
+the package's earlier sparse Smith normal form (every pivot and
+transform of the fast one must equal it),
 brute-force homology via full tuple enumeration, the chain layer by
 whole-group orbit scans (no canonical tuples, no stabilizers), a second
 construction of orbit-category colimits with its own verdict decisions,
@@ -9,6 +11,7 @@ and subgroup lattices by testing every subset for closure.
 """
 
 import itertools
+from types import SimpleNamespace
 
 
 def naive_smith(A):
@@ -248,6 +251,189 @@ def brute_force_homology(X, maxdeg):
         torsion = tuple(sorted(d for d in divisors if d > 1))
         out.append((dim_ker - rank_im, torsion))
     return tuple(out)
+
+
+# -- the Smith normal form with the reference pivot rule -----------------------
+
+
+def _oracle_addmul(target, src, q):
+    """target += q * src."""
+    if not q:
+        return
+    for k, v in src.items():
+        x = target.get(k, 0) + q * v
+        if x:
+            target[k] = x
+        else:
+            del target[k]
+
+
+class _OracleSparse:
+    """Row-major sparse matrix with a column index."""
+
+    def __init__(self, dense, m, n):
+        self.m, self.n = m, n
+        self.rows = {}
+        self.cols = {}
+        for i in range(m):
+            for j in range(n):
+                v = dense[i][j]
+                if v:
+                    self.rows.setdefault(i, {})[j] = v
+                    self.cols.setdefault(j, set()).add(i)
+
+    def get(self, i, j):
+        return self.rows.get(i, {}).get(j, 0)
+
+    def set(self, i, j, v):
+        if v:
+            self.rows.setdefault(i, {})[j] = v
+            self.cols.setdefault(j, set()).add(i)
+        else:
+            row = self.rows.get(i)
+            if row and j in row:
+                del row[j]
+                if not row:
+                    del self.rows[i]
+                col = self.cols[j]
+                col.discard(i)
+                if not col:
+                    del self.cols[j]
+
+
+def oracle_smith_normal_form(dense, m=None, n=None, track_u=False, track_v=False):
+    """Smith normal form with partial pivoting on magnitude, as the
+    package computed it before its pivot loop dropped dead filters and
+    rescans; its pivots and transforms are the reference.  Returns the
+    fields of ``snf.SNFResult`` without the dense views.
+
+    Each round picks the nonzero entry of least absolute value (ties by
+    least fill), clears its row and column by Euclid steps, then folds
+    in any remaining entry the pivot fails to divide; the diagonal
+    therefore comes out in divisibility order.
+    """
+    if m is None:
+        m = len(dense)
+    if n is None:
+        n = len(dense[0]) if dense else 0
+    A = _OracleSparse(dense, m, n)
+    U = [{i: 1} for i in range(m)] if track_u else None  # rows
+    Uinv = [{i: 1} for i in range(m)] if track_u else None  # columns
+    V = [{j: 1} for j in range(n)] if track_v else None  # columns
+    Vinv = [{j: 1} for j in range(n)] if track_v else None  # rows
+
+    def row_oracle_addmul(k, i, q):
+        """row_k += q * row_i, with U := E U and Uinv := Uinv E^{-1}."""
+        for j, v in list(A.rows.get(i, {}).items()):
+            A.set(k, j, A.get(k, j) + q * v)
+        if track_u:
+            _oracle_addmul(U[k], U[i], q)
+            _oracle_addmul(Uinv[i], Uinv[k], -q)
+
+    def col_oracle_addmul(l, j, q):
+        """col_l += q * col_j, with V := V E and Vinv := E^{-1} Vinv."""
+        for i in list(A.cols.get(j, set())):
+            A.set(i, l, A.get(i, l) + q * A.rows[i][j])
+        if track_v:
+            _oracle_addmul(V[l], V[j], q)
+            _oracle_addmul(Vinv[j], Vinv[l], -q)
+
+    def negate_row(i):
+        for j in list(A.rows.get(i, {})):
+            A.rows[i][j] = -A.rows[i][j]
+        if track_u:
+            U[i] = {j: -v for j, v in U[i].items()}
+            Uinv[i] = {r: -v for r, v in Uinv[i].items()}
+
+    active_rows = set(range(m))
+    active_cols = set(range(n))
+    pivots = []
+    divisors = []
+
+    def eliminate(pi, pj):
+        """Clear the pivot row and column; the pivot walks to wherever a
+        smaller remainder appears, so |pivot| strictly decreases and the
+        loop terminates.  Returns the final pivot position."""
+        while True:
+            moved = False
+            for k in list(A.cols.get(pj, set())):
+                if k == pi or k not in active_rows:
+                    continue
+                piv = A.get(pi, pj)
+                q = A.get(k, pj) // piv
+                row_oracle_addmul(k, pi, -q)
+                if A.get(k, pj) != 0:
+                    pi = k
+                    moved = True
+                    break
+            if moved:
+                continue
+            for l in list(A.rows.get(pi, {})):
+                if l == pj or l not in active_cols:
+                    continue
+                piv = A.get(pi, pj)
+                q = A.get(pi, l) // piv
+                col_oracle_addmul(l, pj, -q)
+                if A.get(pi, l) != 0:
+                    pj = l
+                    moved = True
+                    break
+            if not moved:
+                return pi, pj
+
+    while True:
+        best = None
+        for i in active_rows:
+            row = A.rows.get(i)
+            if not row:
+                continue
+            nr = sum(1 for j in row if j in active_cols)
+            for j, v in row.items():
+                if j not in active_cols:
+                    continue
+                key = (abs(v), (nr - 1) * (len(A.cols[j]) - 1))
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+            if best and best[0] == (1, 0):
+                break
+        if best is None:
+            break
+        _, pi, pj = best
+
+        pi, pj = eliminate(pi, pj)
+        while True:
+            piv = A.get(pi, pj)
+            offender = None
+            for i in active_rows:
+                if i == pi:
+                    continue
+                row = A.rows.get(i)
+                if not row:
+                    continue
+                for j, v in row.items():
+                    if j in active_cols and v % piv != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_oracle_addmul(pi, offender, 1)
+            pi, pj = eliminate(pi, pj)
+
+        if A.get(pi, pj) < 0:
+            negate_row(pi)
+        pivots.append((pi, pj))
+        divisors.append(A.get(pi, pj))
+        active_rows.discard(pi)
+        active_cols.discard(pj)
+
+    for a, b in zip(divisors, divisors[1:]):
+        if b % a != 0:
+            raise AssertionError("smith divisors out of divisibility order")
+    return SimpleNamespace(
+        m=m, n=n, divisors=divisors, pivots=pivots, u_rows=U, uinv_cols=Uinv, v_cols=V, vinv_rows=Vinv
+    )
 
 
 # -- the chain layer by whole orbits -------------------------------------------

@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 from oracles import SUBGROUPS_PER_ORDER, is_closed_subset, is_lattice, oracle_subgroups
 
@@ -17,12 +19,13 @@ from coarsehom.groups import (
     family_trivial,
     is_separating,
     orbit_category,
+    product_gset,
     subgroup_class_representatives,
     symmetric_group,
     trivial_group,
     trivial_gset,
 )
-from coarsehom.randgen import GROUP_CATALOG
+from coarsehom.randgen import GROUP_CATALOG, random_group, random_gset
 
 
 def test_group_table_validation():
@@ -217,3 +220,36 @@ def test_commutator_subgroups():
     # A4' = V4: its only subgroup of order 4
     v4_in_a4 = next(H for H in all_subgroups(a4) if len(H) == 4)
     assert commutator_subgroup(a4, frozenset(a4.elements())) == v4_in_a4
+
+
+def assert_transporter_table(X):
+    """``X.transporters[x]`` is exactly the action rows of the g with
+    g.x = min(G.x), in element order, and reading it leaves equality and
+    hashing alone."""
+    twin = GSet(X.group, X.size, X.action)
+    for x in range(X.size):
+        least = min(X.orbit(x))
+        assert X.transporters[x] == tuple(
+            X.action[g] for g in X.group.elements() if X.action[g][x] == least
+        )
+    assert len(X.transporters) == X.size
+    assert X == twin and hash(X) == hash(twin)
+
+
+@pytest.mark.parametrize("make", list(GROUP_PRESETS.values()), ids=list(GROUP_PRESETS))
+def test_transporters_on_regular_gsets(make):
+    g = make()
+    regular = GSet(g, g.order, tuple(tuple(g.mul(a, x) for x in g.elements()) for a in g.elements()))
+    assert_transporter_table(regular)
+    assert_transporter_table(coset_gset(g, [g.identity]))
+
+
+def test_transporters_on_random_and_derived_gsets():
+    for seed in range(40):
+        rng = Random(seed)
+        g = random_group(rng)
+        a = random_gset(rng, g, 6)
+        b = random_gset(rng, g, 4)
+        assert_transporter_table(a)
+        assert_transporter_table(product_gset(a, b))
+        assert_transporter_table(coset_gset(g, rng.choice(all_subgroups(g))))

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import oracle_smith_normal_form
 
 from coarsehom.errors import ValidationError
 from coarsehom.homology import hom_is_identity, hom_is_multiplication_by
@@ -43,6 +44,31 @@ def wide_sparse_systems(draw):
     x = [rng.randint(-2, 2) for _ in range(n)]
     b = [rng.randint(-3, 3) for _ in range(m)]
     return A, x, b
+
+
+@st.composite
+def reference_matrices(draw):
+    """m <= 10, n <= 16, with entries in {-1, 0, 1} (unit pivots only) or
+    in -6..6 (so non-unit pivots and the divisibility fold run)."""
+    m = draw(st.integers(0, 10))
+    n = draw(st.integers(0, 16))
+    nonzero = draw(st.sampled_from([st.sampled_from((-1, 1)), st.integers(-6, 6)]))
+    entry = st.one_of(st.just(0), nonzero)
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)], m, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(reference_matrices())
+def test_smith_normal_form_keeps_the_reference_pivots_and_transforms(case):
+    """Every pivot, divisor and transform equals that of the reference
+    implementation in ``tests/oracles.py``, in all four tracking modes."""
+    A, m, n = case
+    for track_u in (False, True):
+        for track_v in (False, True):
+            res = smith_normal_form(A, m, n, track_u=track_u, track_v=track_v)
+            ref = oracle_smith_normal_form(A, m, n, track_u=track_u, track_v=track_v)
+            for name in ("divisors", "pivots", "u_rows", "uinv_cols", "v_cols", "vinv_rows"):
+                assert getattr(res, name) == getattr(ref, name), name
 
 
 @settings(max_examples=80, deadline=None)
@@ -107,6 +133,21 @@ def test_solve_examples():
     assert solve_int([[2]], [3]) is None
     assert solve_int([[1, 1]], [5]) is not None
     assert solve_int([], [], 0, 3) == [0, 0, 0]
+
+
+def test_vector_lengths_are_checked():
+    h = AbHom(FPAbGroup(2, []), FPAbGroup(1, []), [[1, 1]])
+    assert h.apply([2, 3]) == [5]
+    for wrong in ([5], [1, 2, 3]):
+        with pytest.raises(ValidationError, match="entries for 2 generators"):
+            h.apply(wrong)
+    for wrong in ([1, 7], []):
+        with pytest.raises(ValidationError, match="entries for 1 rows"):
+            solve_int([[1]], wrong)
+    with pytest.raises(ValidationError, match="row 1 has 1 entries, not 2"):
+        smith_normal_form([[1, 2], [3]])
+    with pytest.raises(ValidationError, match="row 0 has 2 entries, not 1"):
+        smith_normal_form([[1, 2]], 1, 1)
 
 
 @settings(max_examples=50, deadline=None)
