@@ -10,7 +10,10 @@ bornologicity are trivially true for maps between finite spaces; the
 predicates still run uniformly.
 
 Entourages are plain frozensets of index pairs; operations take the
-carrier size explicitly so that mismatches are detectable.
+carrier size explicitly so that mismatches are detectable.  Predicates
+(controlledness, the covering conditions, isomorphism of spaces) read
+the block labels instead, in O(|G| n) for a carrier of n points; pair
+sets are built only where an entourage is the result.
 
 ``BornCoarseSpace(...)`` validates its arguments; spaces built here from
 validated G-sets and checked generators (``make_space``, ``coproduct``)
@@ -19,6 +22,7 @@ are valid by construction and skip that validator.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -348,16 +352,19 @@ def free_union_family(parts, name=""):
     return coproduct(parts, name=name or "free_union")
 
 
-def map_predicates(f, X: BornCoarseSpace, Y: BornCoarseSpace):
-    """(controlled, proper, bornological) for a finite-carrier map."""
-    require_equivariant(f, X.carrier, Y.carrier)
-    controlled = all(
-        Y.coarse.related(f[a], f[b])
-        for a in range(X.size)
-        for b in range(X.size)
-        if X.coarse.related(a, b)
-    )
-    return controlled, True, True
+def _blocks_to_blocks(f, X: BornCoarseSpace, Y: BornCoarseSpace):
+    """Whether the X-block of x determines the Y-block of f(x): there are
+    as many (X-block, Y-block) pairs as X-blocks."""
+    xb = X.coarse.block
+    return len(set(zip(xb, map(Y.coarse.block.__getitem__, f)))) == len(set(xb))
+
+
+def map_predicates(f, X: BornCoarseSpace, Y: BornCoarseSpace, what="map"):
+    """(controlled, proper, bornological) for a finite-carrier map; ``what``
+    labels the equivariance error.  f is controlled iff it maps blocks
+    to blocks."""
+    require_equivariant(f, X.carrier, Y.carrier, what)
+    return _blocks_to_blocks(f, X, Y), True, True
 
 
 def identity_map(X):
@@ -372,67 +379,65 @@ def compose_maps(f, g):
 # -- isomorphism search ----------------------------------------------------
 
 
+def _point_invariants(space):
+    """Per point: (component size, orbit size, stabilizer order)."""
+    comp = Counter(space.coarse.block)
+    order = space.group.order
+    orbits = map(set, zip(*space.carrier.action))  # G.x, point by point
+    return [(comp[b], len(o), order // len(o)) for b, o in zip(space.coarse.block, orbits)]
+
+
 def find_space_isomorphism(X: BornCoarseSpace, Y: BornCoarseSpace, allowed=None):
     """Search for an equivariant bijection X -> Y preserving the coarse
     structure; ``allowed(p, q)`` can veto images pointwise (used by span
     isomorphism to pin down leg compatibility).  Returns the bijection
     as a tuple, or None.
 
-    Complete backtracking over orbit representatives with invariant
-    pruning; carriers in intended use have at most 64 points.
+    Complete backtracking over orbit representatives, with candidates
+    pruned by the invariants (component size, orbit size, stabilizer
+    order), each computed once per space; carriers in intended use have
+    at most 64 points.  A consistent orbit image is a bijection of orbits
+    because the orbit sizes agree.  A full assignment is accepted when it
+    maps blocks to blocks well-definedly in both directions.
     """
     if X.group != Y.group or X.size != Y.size:
         return None
-    G = X.group
-
-    comps_x = X.components()
-    comps_y = Y.components()
-    if sorted(map(len, comps_x)) != sorted(map(len, comps_y)):
+    if sorted(Counter(X.coarse.block).values()) != sorted(Counter(Y.coarse.block).values()):
         return None
 
-    def invariant(space, x):
-        comp = len(space.components()[space.coarse.block[x]])
-        orb = len(space.carrier.orbit(x))
-        stab = len(space.carrier.stabilizer(x))
-        return (comp, orb, stab)
-
+    inv_x = _point_invariants(X)
     inv_y = {}
-    for y in range(Y.size):
-        inv_y.setdefault(invariant(Y, y), []).append(y)
+    for y, key in enumerate(_point_invariants(Y)):
+        inv_y.setdefault(key, []).append(y)
 
+    rows = tuple(zip(X.carrier.action, Y.carrier.action))
     orbits = X.carrier.orbits()
     phi = [None] * X.size
     used = [False] * Y.size
 
+    def orbit_image(rep, q):
+        """g.rep -> g.q as a dict, or None if that is not well defined."""
+        images = {}
+        for row_x, row_y in rows:
+            if images.setdefault(row_x[rep], row_y[q]) != row_y[q]:
+                return None
+        return images
+
     def assign_orbit(k):
         if k == len(orbits):
-            return check_full()
-        orb = orbits[k]
-        rep = orb[0]
-        stab_rep = X.carrier.stabilizer(rep)
-        for q in inv_y.get(invariant(X, rep), []):
+            # X and Y have equally many blocks, so a bijection mapping
+            # blocks to blocks maps them onto blocks
+            return tuple(phi) if _blocks_to_blocks(phi, X, Y) else None
+        rep = orbits[k][0]
+        for q in inv_y.get(inv_x[rep], []):
             if used[q]:
                 continue
             if allowed is not None and not allowed(rep, q):
                 continue
-            if not stab_rep <= Y.carrier.stabilizer(q):
+            images = orbit_image(rep, q)
+            if images is None or any(used[v] for v in images.values()):
                 continue
-            images = {}
-            ok = True
-            for g in G.elements():
-                p2 = X.carrier.act(g, rep)
-                q2 = Y.carrier.act(g, q)
-                if p2 in images and images[p2] != q2:
-                    ok = False
-                    break
-                images[p2] = q2
-            if not ok or len(set(images.values())) != len(orb):
-                continue
-            if any(used[v] for v in images.values()):
-                continue
-            if allowed is not None and any(
-                not allowed(p, v) for p, v in images.items()
-            ):
+            if allowed is not None and any(not allowed(p, v) for p, v in images.items()):
                 continue
             for p, v in images.items():
                 phi[p] = v
@@ -444,13 +449,6 @@ def find_space_isomorphism(X: BornCoarseSpace, Y: BornCoarseSpace, allowed=None)
                 phi[p] = None
                 used[v] = False
         return None
-
-    def check_full():
-        for a in range(X.size):
-            for b in range(X.size):
-                if X.coarse.related(a, b) != Y.coarse.related(phi[a], phi[b]):
-                    return None
-        return tuple(phi)
 
     return assign_orbit(0)
 

@@ -238,7 +238,7 @@ def tape_projection_is_bounded_covering(f: TapeMap):
     diag = []
     controlled, _proper, _born = tape_map_predicates(f)
     if not controlled:
-        raise ValidationError("tape map is not controlled")
+        return False, "tape map is not controlled"
 
     kind, blocks = src.components_symbolic()
     blk = src.fiber.coarse.block

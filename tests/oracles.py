@@ -7,7 +7,8 @@ transform of the fast one must equal it),
 brute-force homology via full tuple enumeration, the chain layer by
 whole-group orbit scans (no canonical tuples, no stabilizers), a second
 construction of orbit-category colimits with its own verdict decisions,
-and subgroup lattices by testing every subset for closure.
+subgroup lattices by testing every subset for closure, and the span
+layer's earlier predicates by quadratic pair sets.
 """
 
 import itertools
@@ -616,3 +617,149 @@ def weak_transfer_projection_cols(X, j, cxX, cxW, n):
         else:
             cols.append({})
     return cols
+
+
+# -- span-layer predicates by pair sets ----------------------------------------
+# The package's earlier bodies of map_predicates, find_space_isomorphism
+# and is_bounded_coarse_covering, verbatim apart from names, annotations
+# and imports: they decide controlledness and the covering conditions
+# with O(n^2) sets of pairs, and compute the invariants of every point
+# from scratch.  The package's verdicts, diagnostics, error messages and
+# bijections must equal theirs, except that the oracle covering check
+# raises ValidationError("covering candidate is not controlled") where
+# the package returns that diagnostic as a failed check.
+
+
+def oracle_map_predicates(f, X, Y):
+    """(controlled, proper, bornological) for a finite-carrier map."""
+    from coarsehom.groups import require_equivariant
+
+    require_equivariant(f, X.carrier, Y.carrier)
+    controlled = all(
+        Y.coarse.related(f[a], f[b])
+        for a in range(X.size)
+        for b in range(X.size)
+        if X.coarse.related(a, b)
+    )
+    return controlled, True, True
+
+
+def oracle_find_space_isomorphism(X, Y, allowed=None):
+    """Search for an equivariant bijection X -> Y preserving the coarse
+    structure; ``allowed(p, q)`` can veto images pointwise (used by span
+    isomorphism to pin down leg compatibility).  Returns the bijection
+    as a tuple, or None.
+
+    Complete backtracking over orbit representatives with invariant
+    pruning; carriers in intended use have at most 64 points.
+    """
+    if X.group != Y.group or X.size != Y.size:
+        return None
+    G = X.group
+
+    comps_x = X.components()
+    comps_y = Y.components()
+    if sorted(map(len, comps_x)) != sorted(map(len, comps_y)):
+        return None
+
+    def invariant(space, x):
+        comp = len(space.components()[space.coarse.block[x]])
+        orb = len(space.carrier.orbit(x))
+        stab = len(space.carrier.stabilizer(x))
+        return (comp, orb, stab)
+
+    inv_y = {}
+    for y in range(Y.size):
+        inv_y.setdefault(invariant(Y, y), []).append(y)
+
+    orbits = X.carrier.orbits()
+    phi = [None] * X.size
+    used = [False] * Y.size
+
+    def assign_orbit(k):
+        if k == len(orbits):
+            return check_full()
+        orb = orbits[k]
+        rep = orb[0]
+        stab_rep = X.carrier.stabilizer(rep)
+        for q in inv_y.get(invariant(X, rep), []):
+            if used[q]:
+                continue
+            if allowed is not None and not allowed(rep, q):
+                continue
+            if not stab_rep <= Y.carrier.stabilizer(q):
+                continue
+            images = {}
+            ok = True
+            for g in G.elements():
+                p2 = X.carrier.act(g, rep)
+                q2 = Y.carrier.act(g, q)
+                if p2 in images and images[p2] != q2:
+                    ok = False
+                    break
+                images[p2] = q2
+            if not ok or len(set(images.values())) != len(orb):
+                continue
+            if any(used[v] for v in images.values()):
+                continue
+            if allowed is not None and any(
+                not allowed(p, v) for p, v in images.items()
+            ):
+                continue
+            for p, v in images.items():
+                phi[p] = v
+                used[v] = True
+            res = assign_orbit(k + 1)
+            if res is not None:
+                return res
+            for p, v in images.items():
+                phi[p] = None
+                used[v] = False
+        return None
+
+    def check_full():
+        for a in range(X.size):
+            for b in range(X.size):
+                if X.coarse.related(a, b) != Y.coarse.related(phi[a], phi[b]):
+                    return None
+        return tuple(phi)
+
+    return assign_orbit(0)
+
+
+def oracle_is_bounded_coarse_covering(w, W, Z):
+    """Conditions: (1) the induced structure restricted along pi_0(W)
+    equals the structure of W; (2) every coarse component of W maps
+    isomorphically onto a coarse component of Z.  Returns (ok, diagnostic)."""
+    from coarsehom.errors import ValidationError
+    from coarsehom.groups import require_equivariant
+    from coarsehom.spaces import induced_structure, partition_entourage
+
+    require_equivariant(w, W.carrier, Z.carrier, "covering candidate")
+    controlled, _, _ = oracle_map_predicates(w, W, Z)
+    if not controlled:
+        raise ValidationError("covering candidate is not controlled")
+
+    comps = W.components()
+    induced = induced_structure(w, W.carrier, Z)
+    # intersecting two equivalence relations yields one; no closure needed
+    restricted = induced.closure_entourage() & partition_entourage(comps)
+    if restricted != W.coarse.closure_entourage():
+        missing = W.coarse.closure_entourage() - restricted
+        extra = restricted - W.coarse.closure_entourage()
+        witness = next(iter(missing or extra))
+        return False, f"condition 1 fails: restricted induced structure differs at pair {witness}"
+
+    for comp in comps:
+        images = [w[x] for x in comp]
+        if len(set(images)) != len(images):
+            dup = next(a for a in comp for b in comp if a < b and w[a] == w[b])
+            return False, f"condition 2 fails: component {comp} not injective (witness point {dup})"
+        target_block = {Z.coarse.block[v] for v in images}
+        if len(target_block) != 1:
+            return False, f"condition 2 fails: component {comp} maps into several components"
+        tb = target_block.pop()
+        target = sorted(v for v in range(Z.size) if Z.coarse.block[v] == tb)
+        if sorted(images) != target:
+            return False, f"condition 2 fails: component {comp} does not cover its target component"
+    return True, "bounded coarse covering"

@@ -101,6 +101,19 @@ def test_check_covering_subcommand():
     assert json.loads(out)["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "name, diag",
+    [("proj_max", "covering candidate is not controlled"), ("tape_twist", "tape map is not controlled")],
+)
+def test_uncontrolled_covering_candidate_is_a_fail_row(capsys, name, diag):
+    rc = main(["check-covering", "fixtures/c2_failures.json", "--name", name, "--format", "json"])
+    out = capsys.readouterr()
+    assert rc == 0 and out.err == ""
+    report = json.loads(out.out)
+    assert report["ok"] is False and report["diagnostic"] == diag
+    assert report["rows"][0][3] == "FAIL"
+
+
 def test_check_square_subcommand():
     rc, out = run_cli(["check-square", FIXTURE, "--format", "json"])
     assert rc == 0

@@ -2,8 +2,12 @@
 stdout must equal the stored report byte for byte.
 
 The reports in ``tests/golden/`` were captured before the chain layer
-moved to canonical tuples.  A change that moves one on purpose rewrites
-it with ``PYTHONPATH=src python tests/test_golden.py`` and says why.
+moved to canonical tuples; the failed covering and square checks were
+captured before the span predicates moved to block labels, apart from
+``check_covering_uncontrolled.txt``, which records an uncontrolled
+candidate as a FAIL row (it used to exit with a validation error).  A
+change that moves one on purpose rewrites it with
+``PYTHONPATH=src python tests/test_golden.py`` and says why.
 """
 
 import io
@@ -17,6 +21,7 @@ from coarsehom.cli import build_parser, dispatch
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
 FIXTURE = os.path.join(ROOT, "fixtures", "c2_workspace.json")
+FAILURES = os.path.join(ROOT, "fixtures", "c2_failures.json")
 
 COMMANDS = {
     "run.txt": ["run", FIXTURE],
@@ -31,6 +36,9 @@ COMMANDS = {
     "homology_Y.txt": ["homology", FIXTURE, "--name", "Y"],
     "check_axioms_Y.txt": ["check-axioms", FIXTURE, "--name", "Y"],
     "check_axioms_T_shift.txt": ["check-axioms", FIXTURE, "--name", "T", "--witness", "shift"],
+    "check_covering_collapse.txt": ["check-covering", FIXTURE, "--name", "collapse"],
+    "check_square_twisted.txt": ["check-square", FAILURES, "--name", "twisted_square"],
+    "check_covering_uncontrolled.txt": ["check-covering", FAILURES, "--name", "proj_max"],
     "fuzz_all.json": ["fuzz", "--suite", "all", "--seed", "0", "--cases", "50", "--format", "json"],
 }
 
