@@ -369,14 +369,16 @@ def fiber_product_gset(A, a, B, b):
 
 
 def is_equivariant(f, src: GSet, dst: GSet):
-    if len(f) != src.size or any(not (0 <= y < dst.size) for y in f):
+    """Does g.f(x) = f(g.x) hold for every g and x?  Compared row by row:
+    per g, the images (g.f(x))_x against (f(g.x))_x.  Length and range
+    come first, so a negative image cannot index from the end."""
+    if len(f) != src.size or (f and not (0 <= min(f) and max(f) < dst.size)):
         return False
-    G = src.group
-    return all(
-        dst.action[g][f[x]] == f[src.action[g][x]]
-        for g in G.elements()
-        for x in range(src.size)
-    )
+    for g in src.group.elements():
+        row = dst.action[g]
+        if [row[y] for y in f] != [f[x] for x in src.action[g]]:
+            return False
+    return True
 
 
 def require_equivariant(f, src, dst, what="map"):

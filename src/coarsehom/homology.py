@@ -46,6 +46,8 @@ def canonical_tuple(X: BornCoarseSpace, t):
     rows = X.carrier.transporters[t[0]]
     if len(t) == 1:  # every transporter sends t onto (m,)
         return (rows[0][t[0]],), len(rows)
+    if len(rows) == 1:  # t[0] is a free point: one transporter, Stab(t) = 1
+        return itemgetter(*t)(rows[0]), 1
     images = list(map(itemgetter(*t), rows))
     least = min(images)
     return least, images.count(least)
@@ -57,10 +59,14 @@ def chain_basis(X: BornCoarseSpace, n):
     the least point of a carrier orbit and every ti in m's component."""
     _require_finite(X, "chain_basis")
     comps = X.components()
+    transporters = X.carrier.transporters
     reps = set()
     for m in (orbit[0] for orbit in X.carrier.orbits()):
-        for rest in itertools.product(comps[X.coarse.block[m]], repeat=n):
-            reps.add(canonical_tuple(X, (m,) + rest)[0])
+        tuples = ((m,) + rest for rest in itertools.product(comps[X.coarse.block[m]], repeat=n))
+        if len(transporters[m]) == 1:  # Stab(m) = 1: each tuple is its own least form
+            reps.update(tuples)
+        else:
+            reps.update(canonical_tuple(X, t)[0] for t in tuples)
     return sorted(reps)
 
 

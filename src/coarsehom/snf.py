@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import compress
 
 from .errors import InternalCheckError, ValidationError
@@ -160,17 +161,35 @@ def smith_normal_form(dense, m=None, n=None, track_u=False, track_v=False):
 
     Pivot rule: each round takes, over the active rows in ascending order
     and the entries of each row in insertion order, the first entry of
-    least |v|, ties broken by least (len(row) - 1) * (len(col) - 1); the
-    search stops at the first entry with key (1, 0).  Elimination clears
-    the pivot's row and column by Euclid steps, then folds in any
-    remaining entry the pivot fails to divide, so the diagonal comes out
-    in divisibility order.  The fold is skipped after a pivot of +-1,
-    which divides everything.
+    least |v|, ties broken by least fill (len(row) - 1) * (len(col) - 1).
+    An entry with key (1, 0) -- a unit in a row or column of length 1 --
+    is least, so the first of them is the pivot whenever one exists.
+    Elimination clears the pivot's row and column by Euclid steps, then
+    folds in any remaining entry the pivot fails to divide, so the
+    diagonal comes out in divisibility order.  The fold is skipped after
+    a pivot of +-1, which divides everything.
 
     Invariant: active rows hold entries only in active columns, and a
     finished pivot row and column hold only their diagonal entry.  So the
     active block needs no column filter, and a row's active length is
     its length.
+
+    Worklist: a min-heap holds every active row that has a (1, 0) entry,
+    and possibly stale rows besides.  An entry turns (1, 0) only when its
+    row or its column shrinks to one entry: a row operation writes only
+    into columns its source row also meets, so never into a column of
+    length 1, and a column operation writes only into the pivot row,
+    where a unit remainder becomes the final pivot.  So a row is queued
+    at the start if it, or a column it meets, holds a single unit; after
+    ``row_addmul`` if the target row is left with one entry; and in
+    ``drop`` when a column shrinks to one entry, a unit.  Popping the
+    least queued row that still has a (1, 0) entry, and taking its first
+    one in insertion order, gives the pivot the full scan takes.
+
+    Fallback: with the heap empty there is no (1, 0) entry, so every
+    unit entry lies in a column of length >= 2 and has fill >= len(row)
+    - 1.  Once a unit of fill f is found, a row with len(row) - 1 >= f
+    cannot beat it and is skipped unscanned.
     """
     if m is None:
         m = len(dense)
@@ -182,11 +201,29 @@ def smith_normal_form(dense, m=None, n=None, track_u=False, track_v=False):
     V = [{j: 1} for j in range(n)] if track_v else None  # columns
     Vinv = [{j: 1} for j in range(n)] if track_v else None  # rows
 
+    if not rows:
+        return SNFResult(m, n, [], [], U, Uinv, V, Vinv)
+
+    queue = []
+    for i, row in rows.items():
+        if len(row) == 1 and next(iter(row.values())) in (1, -1):
+            queue.append(i)
+    for j, col in cols.items():
+        if len(col) == 1:
+            i = next(iter(col))
+            if rows[i][j] in (1, -1):
+                queue.append(i)
+    heapify(queue)
+
     def drop(i, j):
         """Remove (i, j) from the column index once the entry is zero."""
         col = cols[j]
         col.discard(i)
-        if not col:
+        if len(col) == 1:
+            r = next(iter(col))
+            if rows[r][j] in (1, -1):
+                heappush(queue, r)
+        elif not col:
             del cols[j]
 
     def row_addmul(k, i, q):
@@ -203,27 +240,11 @@ def smith_normal_form(dense, m=None, n=None, track_u=False, track_v=False):
             elif j in dst:
                 del dst[j]
                 drop(k, j)
+        if len(dst) == 1:
+            heappush(queue, k)
         if track_u:
             _addmul(U[k], U[i], q)
             _addmul(Uinv[i], Uinv[k], -q)
-
-    def col_addmul(l, j, q):
-        """col_l += q * col_j, with V := V E and Vinv := E^{-1} Vinv."""
-        if not q:
-            return
-        for i in cols[j]:
-            row = rows[i]
-            x = row.get(l, 0) + q * row[j]
-            if x:
-                if l not in row:
-                    cols.setdefault(l, set()).add(i)
-                row[l] = x
-            elif l in row:
-                del row[l]
-                drop(i, l)
-        if track_v:
-            _addmul(V[l], V[j], q)
-            _addmul(Vinv[j], Vinv[l], -q)
 
     def negate_row(i):
         row = rows[i]
@@ -250,37 +271,59 @@ def smith_normal_form(dense, m=None, n=None, track_u=False, track_v=False):
                         pi = k
                         break
             else:
-                for l in list(rows[pi]):
-                    if l != pj:
-                        col_addmul(l, pj, -(rows[pi][l] // piv))
-                        if l in rows[pi]:
-                            pj = l
-                            break
+                # col_l -= q * col_pj for each l; col_pj is {pi: piv} by
+                # now, so only row pi changes, to its remainder mod piv
+                row = rows[pi]
+                for l in list(row):
+                    if l == pj:
+                        continue
+                    q = row[l] // piv
+                    x = row[l] - q * piv
+                    if track_v:
+                        _addmul(V[l], V[pj], -q)
+                        _addmul(Vinv[pj], Vinv[l], q)
+                    if x:
+                        row[l] = x
+                        pj = l
+                        break
+                    del row[l]
+                    drop(pi, l)
                 else:
                     return pi, pj
 
     while True:
-        best = 0  # least |v| so far; 0 while no entry is found
-        for i in active_rows:
-            row = rows.get(i)
-            if not row:
-                continue
-            nr = len(row) - 1
-            for j, v in row.items():
-                a = v if v > 0 else -v
-                if best and a > best:
-                    continue
-                fill = nr * (len(cols[j]) - 1)
-                if not best or a < best or fill < best_fill:
-                    best, best_fill, pi, pj = a, fill, i, j
-                    if a == 1 and not fill:
+        pivot = None
+        while queue:  # the least queued row with a (1, 0) entry: its first one
+            i = heappop(queue)
+            if i in active_rows:
+                row = rows[i]
+                short = len(row) == 1
+                for j, v in row.items():
+                    if (v == 1 or v == -1) and (short or len(cols[j]) == 1):
+                        pivot = i, j
                         break
-            if best == 1 and not best_fill:
+                if pivot:
+                    break
+        if pivot is None:  # no (1, 0) entry: the least (|v|, fill), pruned
+            best = 0  # least |v| so far; 0 while no entry is found
+            for i in active_rows:
+                row = rows.get(i)
+                if not row:
+                    continue
+                nr = len(row) - 1
+                if best == 1 and nr >= best_fill:
+                    continue
+                for j, v in row.items():
+                    a = v if v > 0 else -v
+                    if best and a > best:
+                        continue
+                    fill = nr * (len(cols[j]) - 1)
+                    if not best or a < best or fill < best_fill:
+                        best, best_fill, pivot = a, fill, (i, j)
+            if not best:
                 break
-        if not best:
-            break
 
-        pi, pj = eliminate(pi, pj)
+        pi, pj = eliminate(*pivot)
         while rows[pi][pj] not in (1, -1):
             piv = rows[pi][pj]
             offender = next(
@@ -379,7 +422,7 @@ class FPAbGroup:
         for col in self.relations:
             if len(col) != self.ngens:
                 raise ValidationError("relation column has wrong length")
-        R = [[col[i] for col in self.relations] for i in range(self.ngens)]
+        R = list(zip(*self.relations)) if self.relations else [[]] * self.ngens
         res = smith_normal_form(R, self.ngens, len(self.relations), track_u=True)
         order = {pi: idx for idx, (pi, _pj) in enumerate(res.pivots)}
         self._coord_divisor = [

@@ -7,8 +7,9 @@ transform of the fast one must equal it),
 brute-force homology via full tuple enumeration, the chain layer by
 whole-group orbit scans (no canonical tuples, no stabilizers), a second
 construction of orbit-category colimits with its own verdict decisions,
-subgroup lattices by testing every subset for closure, and the span
-layer's earlier predicates by quadratic pair sets.
+subgroup lattices by testing every subset for closure, equivariance
+pair by pair, and the span layer's earlier predicates by quadratic pair
+sets.
 """
 
 import itertools
@@ -617,6 +618,22 @@ def weak_transfer_projection_cols(X, j, cxX, cxW, n):
         else:
             cols.append({})
     return cols
+
+
+# -- equivariance, point by point ---------------------------------------------
+
+
+def oracle_is_equivariant(f, src, dst):
+    """The package's earlier body of ``groups.is_equivariant``: range
+    checked image by image, then g.f(x) = f(g.x) compared pair by pair."""
+    if len(f) != src.size or any(not (0 <= y < dst.size) for y in f):
+        return False
+    G = src.group
+    return all(
+        dst.action[g][f[x]] == f[src.action[g][x]]
+        for g in G.elements()
+        for x in range(src.size)
+    )
 
 
 # -- span-layer predicates by pair sets ----------------------------------------

@@ -4,7 +4,8 @@ The package names every orbit by ``canonical_tuple`` and reads the
 boundary and the chain maps off stabilizer orders; the oracle applies
 every group element to every basis tuple.  Bases must be equal and
 columns equal as dicts, on seeded random spaces with non-free actions,
-on relative complexes, on spaces built from out-of-order block labels
+on free and partly free carriers (the free-point fast paths), on
+relative complexes, on spaces built from out-of-order block labels
 and over a group table whose identity is not element 0.
 """
 
@@ -13,7 +14,14 @@ from random import Random
 import pytest
 
 from coarsehom.axioms import subspace
-from coarsehom.groups import Group, cyclic_group, symmetric_group
+from coarsehom.groups import (
+    Group,
+    all_subgroups,
+    coset_gset,
+    cyclic_group,
+    disjoint_union_gsets,
+    symmetric_group,
+)
 from coarsehom.homology import (
     SpaceComplex,
     canonical_tuple,
@@ -26,7 +34,13 @@ from coarsehom.randgen import (
     random_space,
     random_span,
 )
-from coarsehom.spaces import BornCoarseSpace, CoarseStructure
+from coarsehom.spaces import (
+    BornCoarseSpace,
+    CoarseStructure,
+    make_space,
+    maximal_space,
+    minimal_space,
+)
 from oracles import (
     oracle_boundary_cols,
     oracle_chain_basis,
@@ -135,3 +149,33 @@ def test_group_with_identity_not_zero_matches_oracle(make):
         X = random_space(rng, CFG, group=G)
         assert_complex_matches(SpaceComplex(X, MAXDEG))
         assert_span_matches(random_span(rng, X, CFG))
+
+
+def carriers_with_free_points(G):
+    """One and two regular orbits (every point free), and a regular
+    orbit beside a fixed point or beside G/H for a proper H != 1."""
+    regular = coset_gset(G, [G.identity])
+    proper = next(H for H in all_subgroups(G) if 1 < len(H) < G.order)
+    unions = ([regular, regular], [regular, coset_gset(G, G.elements())], [coset_gset(G, proper), regular])
+    return [regular] + [disjoint_union_gsets(parts)[0] for parts in unions]
+
+
+@pytest.mark.parametrize("make", [lambda: cyclic_group(4), lambda: symmetric_group(3)], ids=["C4", "S3"])
+def test_free_points_match_oracle(make):
+    """The free-point fast paths of ``canonical_tuple`` and ``chain_basis``
+    against the whole-group oracle: free carriers and mixed ones, with
+    the minimal, the maximal and seeded generated structures."""
+    G = make()
+    rng = Random(G.order)
+    for carrier in carriers_with_free_points(G):
+        spaces = [minimal_space(carrier), maximal_space(carrier)]
+        for _ in range(2):
+            a, b = rng.randrange(carrier.size), rng.randrange(carrier.size)
+            pairs = frozenset(p for row in carrier.action for p in ((row[a], row[b]), (row[b], row[a])))
+            spaces.append(make_space(carrier, [pairs]))
+        for X in spaces:
+            assert_complex_matches(SpaceComplex(X, MAXDEG))
+            for _ in range(20):
+                t = tuple(rng.randrange(X.size) for _ in range(rng.randrange(1, 5)))
+                orbit = [tuple(row[x] for x in t) for row in carrier.action]
+                assert canonical_tuple(X, t) == (min(orbit), orbit.count(t))

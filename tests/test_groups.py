@@ -1,7 +1,13 @@
 from random import Random
 
 import pytest
-from oracles import SUBGROUPS_PER_ORDER, is_closed_subset, is_lattice, oracle_subgroups
+from oracles import (
+    SUBGROUPS_PER_ORDER,
+    is_closed_subset,
+    is_lattice,
+    oracle_is_equivariant,
+    oracle_subgroups,
+)
 
 from coarsehom.errors import ValidationError
 from coarsehom.groups import (
@@ -17,6 +23,7 @@ from coarsehom.groups import (
     family_all,
     family_solvable,
     family_trivial,
+    is_equivariant,
     is_separating,
     orbit_category,
     product_gset,
@@ -253,3 +260,45 @@ def test_transporters_on_random_and_derived_gsets():
         assert_transporter_table(a)
         assert_transporter_table(product_gset(a, b))
         assert_transporter_table(coset_gset(g, rng.choice(all_subgroups(g))))
+
+
+def random_equivariant_map(rng, src, dst):
+    """An equivariant map src -> dst sending each orbit representative
+    to a point its stabilizer fixes, or None if some orbit has none."""
+    f = [None] * src.size
+    for orbit in src.orbits():
+        choices = dst.fixed_points(src.stabilizer(orbit[0]))
+        if not choices:
+            return None
+        y = rng.choice(choices)
+        for src_row, dst_row in zip(src.action, dst.action):
+            f[src_row[orbit[0]]] = dst_row[y]
+    return f
+
+
+def test_is_equivariant_matches_the_pointwise_oracle():
+    """Row-by-row comparison gives the verdicts of the earlier pointwise
+    body, on equivariant maps, perturbed ones, and images of the wrong
+    length, negative or out of range (a negative image must not index
+    from the end of an action row)."""
+    verdicts = []
+    for seed in range(60):
+        rng = Random(seed)
+        g = random_group(rng)
+        src, dst = random_gset(rng, g, 6), random_gset(rng, g, 5)
+        candidates = [[rng.randrange(dst.size) for _ in range(src.size)] for _ in range(2)]
+        for _ in range(3):
+            f = random_equivariant_map(rng, src, dst)
+            if f is not None:
+                broken = list(f)
+                broken[rng.randrange(len(f))] = rng.randrange(dst.size)
+                candidates += [f, broken]
+        for f in list(candidates):
+            candidates += [f[:-1], f + [0], [-1] + f[1:], f[:-1] + [dst.size], f[:-1] + [-dst.size]]
+        for f in candidates:
+            for pair in ((src, dst), (src, src)):
+                verdict = is_equivariant(f, *pair)
+                assert verdict == oracle_is_equivariant(f, *pair)
+                verdicts.append(verdict)
+        assert is_equivariant(tuple(range(src.size)), src, src)
+    assert verdicts.count(True) >= 60 and verdicts.count(False) >= 60

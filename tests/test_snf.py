@@ -1,10 +1,15 @@
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import oracle_smith_normal_form
 
+from coarsehom import homology as homology_module
+from coarsehom import snf as snf_module
 from coarsehom.errors import ValidationError
-from coarsehom.homology import hom_is_identity, hom_is_multiplication_by
+from coarsehom.groups import GROUP_PRESETS, coset_gset
+from coarsehom.homology import hom_is_identity, hom_is_multiplication_by, homology
 from coarsehom.snf import (
     AbHom,
     FPAbGroup,
@@ -18,6 +23,7 @@ from coarsehom.snf import (
     smith_normal_form,
     solve_int,
 )
+from coarsehom.spaces import maximal_space
 
 small_matrices = st.integers(0, 4).flatmap(
     lambda m: st.integers(0, 4).flatmap(
@@ -261,3 +267,93 @@ def test_direct_sum_keeps_block_then_extra_relations():
     assert S.ngens == 3
     assert S.relations == [[2, 0, 0], [0, 0, 3], [1, 1, 0]]
     assert S.invariants() == (0, (6,))  # Z/2 + Z + Z/3 modulo (1, 1, 0) is Z/6
+
+
+# -- the (1, 0) worklist against the reference --------------------------------
+
+
+def assert_same_as_reference(A, m, n):
+    """Divisors, pivots and transforms equal the reference's in all four
+    tracking modes."""
+    for track_u in (False, True):
+        for track_v in (False, True):
+            res = smith_normal_form(A, m, n, track_u=track_u, track_v=track_v)
+            ref = oracle_smith_normal_form(A, m, n, track_u=track_u, track_v=track_v)
+            for name in ("divisors", "pivots", "u_rows", "uinv_cols", "v_cols", "vinv_rows"):
+                assert getattr(res, name) == getattr(ref, name), (name, track_u, track_v)
+
+
+def seeded_matrix(rng, kind):
+    """One m x n matrix of the given kind, m <= 60 and n <= 200."""
+    if kind == "wide":  # few rows, many columns: the split-injectivity shape
+        m, n = rng.randint(1, 4), rng.randint(20, 200)
+    elif kind == "small":  # entries in -6..6 grow under elimination: keep it small
+        m, n = rng.randint(1, 24), rng.randint(1, 60)
+    else:
+        m, n = rng.randint(1, 60), rng.randint(1, 120)
+    if kind == "incidence":  # columns of two units: singletons appear as rows go
+        A = [[0] * n for _ in range(m)]
+        for j in range(n):
+            for i, v in zip(rng.sample(range(m), min(m, 2)), (1, -1)):
+                A[i][j] = v
+        return A, m, n
+    if kind == "cut":  # rows of two units: rows shrink to length 1
+        A = [[0] * n for _ in range(m)]
+        for i in range(m):
+            for j, v in zip(rng.sample(range(n), min(n, 2)), (1, -1)):
+                A[i][j] = v
+        return A, m, n
+    if kind == "small":
+        values, density = [v for v in range(-6, 7) if v], rng.choice((0.05, 0.1, 0.2))
+    else:
+        values, density = (-1, 1), rng.choice((0.03, 0.1, 0.3))
+    A = [[rng.choice(values) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+    if kind == "holes":  # zero rows, zero columns and duplicate columns
+        for i in rng.sample(range(m), m // 4):
+            A[i] = [0] * n
+        for j in rng.sample(range(n), n // 4):
+            for row in A:
+                row[j] = 0
+        for _ in range(n // 5):
+            a, b = rng.randrange(n), rng.randrange(n)
+            for row in A:
+                row[b] = row[a]
+    return A, m, n
+
+
+@pytest.mark.parametrize("kind", ["units", "small", "holes", "wide", "incidence", "cut"])
+def test_worklist_keeps_the_reference_pivots_on_seeded_matrices(kind):
+    """Up to 60 x 200: the (1, 0) worklist and the pruned scan choose
+    every pivot the reference's full scan chooses."""
+    rng = Random(f"snf-{kind}")
+    for _ in range(12):
+        A, m, n = seeded_matrix(rng, kind)
+        assert_same_as_reference(A, m, n)
+
+
+def recorded_snf_calls(monkeypatch, run):
+    """Every matrix (dense, m, n) that ``run`` hands to smith_normal_form
+    through the homology layer."""
+    calls = []
+
+    def record(dense, m=None, n=None, track_u=False, track_v=False):
+        calls.append(([list(r) for r in dense], m, n))
+        return smith_normal_form(dense, m, n, track_u, track_v)
+
+    monkeypatch.setattr(snf_module, "smith_normal_form", record)
+    monkeypatch.setattr(homology_module, "smith_normal_form", record)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("group, maxdeg", [("C6", 3), ("S3", 3), ("A4", 2)])
+def test_worklist_keeps_the_reference_pivots_on_homology_matrices(monkeypatch, group, maxdeg):
+    """The boundary and presentation matrices of a regular orbit with the
+    maximal structure, in every tracking mode."""
+    G = GROUP_PRESETS[group]()
+    X = maximal_space(coset_gset(G, [G.identity]))
+    calls = recorded_snf_calls(monkeypatch, lambda: homology(X, maxdeg))
+    assert calls
+    for A, m, n in calls:
+        assert_same_as_reference(A, m, n)
