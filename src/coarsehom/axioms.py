@@ -16,7 +16,7 @@ from .groups import GSet, _trusted
 from .snf import AbHom, direct_sum
 from .spaces import (
     BornCoarseSpace,
-    CoarseStructure,
+    _space_from_labels,
     bounded_union,
     coproduct,
     free_union_family,
@@ -54,10 +54,9 @@ def subspace(X: BornCoarseSpace, A):
         tuple(pos[X.carrier.act(g, p)] for p in pts) for g in X.group.elements()
     )
     carrier = _trusted(GSet, X.group, len(pts), action)
-    block = tuple(X.coarse.block[p] for p in pts)
+    block = [X.coarse.block[p] for p in pts]
     # an invariant structure restricted to an invariant subset stays invariant
-    sub = _trusted(BornCoarseSpace, carrier, CoarseStructure(len(pts), block), f"{X.name}|A")
-    return sub, tuple(pts)
+    return _space_from_labels(carrier, block, f"{X.name}|A"), tuple(pts)
 
 
 def validate_complementary_pair(X, Z, Ys):

@@ -29,6 +29,8 @@ from .groups import (
 )
 from .spaces import (
     BornCoarseSpace,
+    _partition_from_relation,
+    _space_from_labels,
     coproduct,
     empty_space,
     make_space,
@@ -211,19 +213,19 @@ def random_controlled_map(rng: Random, W: BornCoarseSpace, cfg: FuzzConfig = Fuz
         for g in group.elements():
             f[W.carrier.act(g, rep)] = gs.action[g][images[rep]]
     f = tuple(f)
-    pushed = set()
-    for (a, b) in W.coarse.closure_entourage():
-        pushed.add((f[a], f[b]))
-        pushed.add((f[b], f[a]))
-    gens = [frozenset(pushed)] if pushed else []
-    if gs.size >= 2:
-        for _ in range(rng.randrange(0, 2)):
-            a, b = rng.randrange(gs.size), rng.randrange(gs.size)
-            if a != b:
-                gens.append(_invariant_pair_orbit(gs, a, b))
-    Y = make_space(gs, gens, name="target")
-    if Y.components() and max(len(c) for c in Y.components()) > 2 * cfg.max_component:
-        Y = make_space(gs, gens[:1], name="target")
+    first = {}  # the f-image of each W-block, one pair per point
+    pushed = [(f[first.setdefault(b, x)], f[x]) for x, b in enumerate(W.coarse.block)]
+    noise = []  # at most one invariant pair orbit
+    if gs.size >= 2 and rng.randrange(0, 2):
+        a, b = rng.randrange(gs.size), rng.randrange(gs.size)
+        if a != b:
+            noise = list(_invariant_pair_orbit(gs, a, b))
+    # an equivariant image of an invariant partition, joined with an
+    # invariant orbit, stays invariant; the fallback drops the noise
+    for pairs in (pushed + noise, pushed or noise):
+        Y = _space_from_labels(gs, _partition_from_relation(gs.size, pairs), "target")
+        if not Y.components() or max(map(len, Y.components())) <= 2 * cfg.max_component:
+            break
     return f, Y
 
 
@@ -272,14 +274,13 @@ def random_cospan(rng: Random, cfg: FuzzConfig = FuzzConfig()):
         for g in group.elements():
             gmap[off + part.action[g][0]] = Z.carrier.action[g][q]
     gmap = tuple(gmap)
-    pull = frozenset(
+    pairs = [
         (a, b)
         for a in range(gs.size)
         for b in range(gs.size)
         if Z.coarse.related(gmap[a], gmap[b])
-    )
+    ]
     gens = []
-    pairs = sorted(pull)
     for _ in range(rng.randrange(0, 4)):
         if not pairs:
             break

@@ -12,12 +12,13 @@ predicates still run uniformly.
 Entourages are plain frozensets of index pairs; operations take the
 carrier size explicitly so that mismatches are detectable.  Predicates
 (controlledness, the covering conditions, isomorphism of spaces) read
-the block labels instead, in O(|G| n) for a carrier of n points; pair
-sets are built only where an entourage is the result.
+the block labels instead, in O(|G| n) for a carrier of n points, and the
+constructors build block labels; pair sets are built only where a user
+hands one in (``make_space`` generators, ``contains``).
 
 ``BornCoarseSpace(...)`` validates its arguments; spaces built here from
-validated G-sets and checked generators (``make_space``, ``coproduct``)
-are valid by construction and skip that validator.
+validated G-sets and checked generators or block labels are valid by
+construction and skip that validator.
 """
 
 from __future__ import annotations
@@ -152,11 +153,7 @@ def generate_structure(gens, gset: GSet):
         _check_pairs(U, gset.size)
         if not is_invariant_entourage(U, gset):
             raise ValidationError("generator is not G-invariant")
-    pairs = set()
-    for U in gens:
-        pairs.update(U)
-        pairs.update((b, a) for (a, b) in U)
-    block = _partition_from_relation(gset.size, pairs)
+    block = _partition_from_relation(gset.size, (p for U in gens for p in U))
     return CoarseStructure(gset.size, block, generators=gens)
 
 
@@ -172,15 +169,11 @@ class BornCoarseSpace:
     def __post_init__(self):
         if self.coarse.size != self.carrier.size:
             raise ValidationError("coarse structure size does not match carrier")
-        # the closure must be G-invariant for the structure to be a
-        # G-coarse structure; generators were checked at generation time
-        act = self.carrier.action
-        blk = self.coarse.block
-        for g in self.carrier.group.elements():
-            for x in range(self.carrier.size):
-                for y in range(x + 1, self.carrier.size):
-                    if (blk[x] == blk[y]) != (blk[act[g][x]] == blk[act[g][y]]):
-                        raise ValidationError("coarse structure is not G-invariant")
+        # the partition must be G-invariant: every g maps blocks into
+        # blocks; checking every g covers g^-1 too, so g also preserves
+        # unrelatedness
+        if not all(_blocks_to_blocks(row, self, self) for row in self.carrier.action):
+            raise ValidationError("coarse structure is not G-invariant")
 
     @property
     def group(self):
@@ -201,6 +194,12 @@ class BornCoarseSpace:
         return f"Space({nm}, {self.size} pts, {len(self.components())} comps)"
 
 
+def _space_from_labels(carrier, labels, name):
+    """The space on a validated carrier whose blocks are the classes of
+    ``labels``; the caller guarantees the partition is invariant."""
+    return _trusted(BornCoarseSpace, carrier, CoarseStructure(carrier.size, labels), name)
+
+
 def make_space(gset, generators=(), name=""):
     # generate_structure checks every generator's invariance, and the
     # equivalence closure of invariant relations is invariant
@@ -212,10 +211,7 @@ def minimal_space(gset, name=""):
 
 
 def maximal_space(gset, name=""):
-    if gset.size == 0:
-        return make_space(gset, (), name=name)
-    full = frozenset((a, b) for a in range(gset.size) for b in range(gset.size))
-    return make_space(gset, (full,), name=name)
+    return _space_from_labels(gset, (0,) * gset.size, name)
 
 
 def point_space(group):
@@ -269,49 +265,32 @@ def is_equivariant_partition(parts, gset: GSet):
     )
 
 
-def partition_entourage(parts):
-    out = set()
-    for p in parts:
-        out.update((a, b) for a in p for b in p)
-    return frozenset(out)
-
-
 def restrict_by_partition(X: BornCoarseSpace, parts):
     """The structure generated by the intersections of structure entourages
-    with the block entourage of an equivariant partition."""
+    with the block entourage of an equivariant partition: the blocks of X
+    cut by the parts."""
     if not is_equivariant_partition(parts, X.carrier):
         raise ValidationError("partition is not equivariant")
-    upart = partition_entourage(parts)
-    maxgen = X.coarse.closure_entourage() & upart
-    return generate_structure((maxgen,), X.carrier)
+    part = {x: k for k, p in enumerate(parts) for x in p}
+    return CoarseStructure(X.size, tuple((b, part[x]) for x, b in enumerate(X.coarse.block)))
 
 
 def induced_structure(w, src_gset: GSet, target: BornCoarseSpace):
-    """w^{-1} C: the maximal coarse structure on the source making w controlled."""
+    """w^{-1} C: the maximal coarse structure on the source making w
+    controlled; a point's block is the target block of its image."""
     require_equivariant(w, src_gset, target.carrier, "induced_structure map")
-    pre = frozenset(
-        (a, b)
-        for a in range(src_gset.size)
-        for b in range(src_gset.size)
-        if target.coarse.related(w[a], w[b])
-    )
-    return generate_structure((pre,), src_gset)
+    return CoarseStructure(src_gset.size, tuple(map(target.coarse.block.__getitem__, w)))
 
 
 def tensor(X: BornCoarseSpace, Y: BornCoarseSpace, name=""):
-    """Product carrier; entourages generated by products of entourages.
-    Point (x, y) has index x * Y.size + y."""
+    """Product carrier; entourages generated by products of entourages, so
+    the block of (x, y) is the pair of their blocks.  Point (x, y) has
+    index x * Y.size + y."""
     if X.group != Y.group:
         raise ValidationError("tensor: group mismatch")
     gset = product_gset(X.carrier, Y.carrier)
-    if gset.size == 0:
-        return make_space(gset, (), name=name)
-    gen = frozenset(
-        (a * Y.size + c, b * Y.size + d)
-        for (a, b) in X.coarse.closure_entourage()
-        for (c, d) in Y.coarse.closure_entourage()
-    )
-    return make_space(gset, (gen,), name=name or f"({X.name})x({Y.name})")
+    labels = [(a, b) for a in X.coarse.block for b in Y.coarse.block]
+    return _space_from_labels(gset, labels, name or f"({X.name})x({Y.name})")
 
 
 def coproduct(parts, name=""):
@@ -321,12 +300,8 @@ def coproduct(parts, name=""):
     if any(p.group != parts[0].group for p in parts):
         raise ValidationError("coproduct: group mismatch")
     gset, offsets = disjoint_union_gsets([p.carrier for p in parts])
-    pairs = set()
-    for p, off in zip(parts, offsets):
-        pairs.update((a + off, b + off) for (a, b) in p.coarse.closure_entourage())
-    block = _partition_from_relation(gset.size, pairs)
-    space = _trusted(BornCoarseSpace, gset, CoarseStructure(gset.size, block), name)
-    return space, offsets
+    labels = [(k, b) for k, p in enumerate(parts) for b in p.coarse.block]
+    return _space_from_labels(gset, labels, name), offsets
 
 
 def min_space_of_gset(I: GSet, name=""):

@@ -21,10 +21,11 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InternalCheckError, OutOfScopeError, ValidationError
-from .groups import GSet, _trusted, fiber_product_gset, require_equivariant
+from .groups import GSet, fiber_product_gset, require_equivariant
 from .spaces import (
     BornCoarseSpace,
-    CoarseStructure,
+    _blocks_to_blocks,
+    _space_from_labels,
     bounded_union,
     compose_maps,
     coproduct,
@@ -55,6 +56,12 @@ def is_bounded_coarse_covering(w, W: BornCoarseSpace, Z: BornCoarseSpace):
     O(|G| |W| + |Z|), the equivariance check included.
     """
     controlled, _, _ = map_predicates(w, W, Z, "covering candidate")
+    return _covering_verdict(controlled, w, W, Z)
+
+
+def _covering_verdict(controlled, w, W: BornCoarseSpace, Z: BornCoarseSpace):
+    """The verdict of ``is_bounded_coarse_covering`` for an equivariant
+    map whose controlledness is already decided."""
     if not controlled:
         return False, "covering candidate is not controlled"
     zb = Z.coarse.block
@@ -257,13 +264,14 @@ def pullback(g, V: BornCoarseSpace, u, U: BornCoarseSpace, Z: BornCoarseSpace):
     # relations is one, so it is a space by construction
     carrier, pts = fiber_product_gset(V.carrier, g, U.carrier, u)
     labels = tuple((V.coarse.block[v], U.coarse.block[x]) for (v, x) in pts)
-    W = _trusted(BornCoarseSpace, carrier, CoarseStructure(len(pts), labels), "pullback")
+    W = _space_from_labels(carrier, labels, "pullback")
     w = tuple(v for (v, x) in pts)
     f = tuple(x for (v, x) in pts)
 
     defect = _square_defect(AdmissibleSquareCandidate(W, U, V, Z, f, w, g, u))
     if defect:
         raise InternalCheckError(f"constructed pullback square is not admissible: {defect}")
+    _require_covering_left_edge(is_bounded_covering(w, W, V))
     return W, w, f
 
 
@@ -271,8 +279,7 @@ def _square_defect(sq: AdmissibleSquareCandidate):
     """The square-shape part of admissibility, for a square whose maps are
     checked: returns the diagnostic of the first failing condition among
     commutation and cartesianness, or None.  When both hold, the left
-    edge w is forced to be a bounded covering; a failure there is a bug,
-    not a property of the input, and raises InternalCheckError."""
+    edge w is forced to be a bounded covering, which the callers check."""
     W, U, V = sq.W, sq.U, sq.V
     f, w, g, u = sq.f, sq.w, sq.g, sq.u
     for p in range(W.size):
@@ -301,17 +308,22 @@ def _square_defect(sq: AdmissibleSquareCandidate):
         r = first_vu.setdefault((V.coarse.block[w[p]], U.coarse.block[f[p]]), p)
         if q != r:
             return f"not cartesian: structure mismatch at pair ({min(q, r)},{p})"
+    return None
 
-    ok, diag = is_bounded_covering(w, W, V)
+
+def _require_covering_left_edge(verdict):
+    """A non-covering left edge of a commuting cartesian square is a bug."""
+    ok, diag = verdict
     if not ok:
         raise InternalCheckError(f"admissible square with non-covering left edge: {diag}")
-    return None
 
 
 def is_admissible(sq: AdmissibleSquareCandidate):
     """Check: the square commutes and is cartesian on underlying coarse
     spaces, g and f are proper and bornological, u is a bounded covering;
-    cross-checks that the induced w is then a bounded covering."""
+    cross-checks that the induced w is then a bounded covering.  Each map's
+    equivariance is checked once, up front; the rest is read from block
+    labels (finite maps are proper and bornological)."""
     W, U, V, Z = sq.W, sq.U, sq.V, sq.Z
     f, w, g, u = sq.f, sq.w, sq.g, sq.u
     require_equivariant(f, W.carrier, U.carrier, "square map f")
@@ -319,23 +331,21 @@ def is_admissible(sq: AdmissibleSquareCandidate):
     require_equivariant(g, V.carrier, Z.carrier, "square map g")
     require_equivariant(u, U.carrier, Z.carrier, "square map u")
 
-    cg, pg, bg = map_predicates(g, V, Z)
-    if not (cg and pg and bg):
+    if not _blocks_to_blocks(g, V, Z):
         return False, "g is not controlled+proper+bornological"
-    cf, pf, bf = map_predicates(f, W, U)
-    if not (cf and pf and bf):
+    if not _blocks_to_blocks(f, W, U):
         return False, "f is not controlled+proper+bornological"
-    cw, _, _ = map_predicates(w, W, V)
-    if not cw:
+    if not _blocks_to_blocks(w, W, V):
         return False, "w is not controlled"
 
-    ok, diag = is_bounded_covering(u, U, Z)
+    ok, diag = _covering_verdict(_blocks_to_blocks(u, U, Z), u, U, Z)
     if not ok:
         return False, f"u is not a bounded covering: {diag}"
 
     defect = _square_defect(sq)
     if defect:
         return False, defect
+    _require_covering_left_edge(_covering_verdict(True, w, W, V))
     return True, "admissible"
 
 

@@ -750,7 +750,6 @@ def oracle_is_bounded_coarse_covering(w, W, Z):
     isomorphically onto a coarse component of Z.  Returns (ok, diagnostic)."""
     from coarsehom.errors import ValidationError
     from coarsehom.groups import require_equivariant
-    from coarsehom.spaces import induced_structure, partition_entourage
 
     require_equivariant(w, W.carrier, Z.carrier, "covering candidate")
     controlled, _, _ = oracle_map_predicates(w, W, Z)
@@ -758,9 +757,9 @@ def oracle_is_bounded_coarse_covering(w, W, Z):
         raise ValidationError("covering candidate is not controlled")
 
     comps = W.components()
-    induced = induced_structure(w, W.carrier, Z)
+    induced = oracle_induced_structure(w, W.carrier, Z)
     # intersecting two equivalence relations yields one; no closure needed
-    restricted = induced.closure_entourage() & partition_entourage(comps)
+    restricted = induced.closure_entourage() & oracle_partition_entourage(comps)
     if restricted != W.coarse.closure_entourage():
         missing = W.coarse.closure_entourage() - restricted
         extra = restricted - W.coarse.closure_entourage()
@@ -780,3 +779,204 @@ def oracle_is_bounded_coarse_covering(w, W, Z):
         if sorted(images) != target:
             return False, f"condition 2 fails: component {comp} does not cover its target component"
     return True, "bounded coarse covering"
+
+
+# -- constructors by pair sets -------------------------------------------------
+# The package's earlier bodies of the space constructors, the invariance
+# check of BornCoarseSpace and randgen.random_controlled_map, verbatim
+# apart from names, annotations and imports: they build O(n^2) sets of
+# pairs and derive the partition from them by union-find.  The package
+# builds block labels directly; the structures (and, for the random
+# target, the map and the generator state) must be equal.
+
+
+def oracle_is_invariant_structure(carrier, coarse):
+    """Whether g.x ~ g.y iff x ~ y for every g and every pair x < y."""
+    act = carrier.action
+    blk = coarse.block
+    for g in carrier.group.elements():
+        for x in range(carrier.size):
+            for y in range(x + 1, carrier.size):
+                if (blk[x] == blk[y]) != (blk[act[g][x]] == blk[act[g][y]]):
+                    return False
+    return True
+
+
+def oracle_partition_entourage(parts):
+    out = set()
+    for p in parts:
+        out.update((a, b) for a in p for b in p)
+    return frozenset(out)
+
+
+def oracle_maximal_space(gset, name=""):
+    from coarsehom.spaces import make_space
+
+    if gset.size == 0:
+        return make_space(gset, (), name=name)
+    full = frozenset((a, b) for a in range(gset.size) for b in range(gset.size))
+    return make_space(gset, (full,), name=name)
+
+
+def oracle_restrict_by_partition(X, parts):
+    """The structure generated by the intersections of structure entourages
+    with the block entourage of an equivariant partition."""
+    from coarsehom.errors import ValidationError
+    from coarsehom.spaces import generate_structure, is_equivariant_partition
+
+    if not is_equivariant_partition(parts, X.carrier):
+        raise ValidationError("partition is not equivariant")
+    upart = oracle_partition_entourage(parts)
+    maxgen = X.coarse.closure_entourage() & upart
+    return generate_structure((maxgen,), X.carrier)
+
+
+def oracle_induced_structure(w, src_gset, target):
+    """w^{-1} C: the maximal coarse structure on the source making w controlled."""
+    from coarsehom.groups import require_equivariant
+    from coarsehom.spaces import generate_structure
+
+    require_equivariant(w, src_gset, target.carrier, "induced_structure map")
+    pre = frozenset(
+        (a, b)
+        for a in range(src_gset.size)
+        for b in range(src_gset.size)
+        if target.coarse.related(w[a], w[b])
+    )
+    return generate_structure((pre,), src_gset)
+
+
+def oracle_tensor(X, Y, name=""):
+    """Product carrier; entourages generated by products of entourages.
+    Point (x, y) has index x * Y.size + y."""
+    from coarsehom.errors import ValidationError
+    from coarsehom.groups import product_gset
+    from coarsehom.spaces import make_space
+
+    if X.group != Y.group:
+        raise ValidationError("tensor: group mismatch")
+    gset = product_gset(X.carrier, Y.carrier)
+    if gset.size == 0:
+        return make_space(gset, (), name=name)
+    gen = frozenset(
+        (a * Y.size + c, b * Y.size + d)
+        for (a, b) in X.coarse.closure_entourage()
+        for (c, d) in Y.coarse.closure_entourage()
+    )
+    return make_space(gset, (gen,), name=name or f"({X.name})x({Y.name})")
+
+
+def oracle_coproduct(parts, name=""):
+    """Disjoint union with blockwise structure; returns (space, offsets)."""
+    from coarsehom.errors import ValidationError
+    from coarsehom.groups import _trusted, disjoint_union_gsets
+    from coarsehom.spaces import BornCoarseSpace, CoarseStructure, _partition_from_relation
+
+    if not parts:
+        raise ValidationError("coproduct of an empty list; pass the group's empty space")
+    if any(p.group != parts[0].group for p in parts):
+        raise ValidationError("coproduct: group mismatch")
+    gset, offsets = disjoint_union_gsets([p.carrier for p in parts])
+    pairs = set()
+    for p, off in zip(parts, offsets):
+        pairs.update((a + off, b + off) for (a, b) in p.coarse.closure_entourage())
+    block = _partition_from_relation(gset.size, pairs)
+    space = _trusted(BornCoarseSpace, gset, CoarseStructure(gset.size, block), name)
+    return space, offsets
+
+
+def oracle_random_controlled_map(rng, W, cfg):
+    """A random controlled equivariant map out of W; the target carrier
+    is grown from the orbit types of W, the target structure is generated
+    by the image of the source structure plus invariant noise.
+    Returns (f, Y)."""
+    from coarsehom.groups import coset_gset, disjoint_union_gsets
+    from coarsehom.randgen import _invariant_pair_orbit, random_gset
+    from coarsehom.spaces import make_space
+
+    group = W.group
+    target_parts = []
+    for _ in range(rng.randrange(0, 2)):
+        target_parts.append(random_gset(rng, group, max(1, cfg.max_points // 2)))
+    images = {}
+    for orb in W.carrier.orbits():
+        rep = orb[0]
+        stab = W.carrier.stabilizer(rep)
+        candidates = []
+        offset = 0
+        for part in target_parts:
+            for q in range(part.size):
+                if stab <= part.stabilizer(q):
+                    candidates.append(offset + q)
+            offset += part.size
+        if not candidates or rng.random() < 0.3:
+            target_parts.append(coset_gset(group, stab))
+            images[rep] = offset
+        else:
+            images[rep] = candidates[rng.randrange(len(candidates))]
+    if len(target_parts) > 1:
+        gs, _ = disjoint_union_gsets(target_parts)
+    else:
+        gs = target_parts[0]
+    f = [None] * W.size
+    for orb in W.carrier.orbits():
+        rep = orb[0]
+        for g in group.elements():
+            f[W.carrier.act(g, rep)] = gs.action[g][images[rep]]
+    f = tuple(f)
+    pushed = set()
+    for (a, b) in W.coarse.closure_entourage():
+        pushed.add((f[a], f[b]))
+        pushed.add((f[b], f[a]))
+    gens = [frozenset(pushed)] if pushed else []
+    if gs.size >= 2:
+        for _ in range(rng.randrange(0, 2)):
+            a, b = rng.randrange(gs.size), rng.randrange(gs.size)
+            if a != b:
+                gens.append(_invariant_pair_orbit(gs, a, b))
+    Y = make_space(gs, gens, name="target")
+    if Y.components() and max(len(c) for c in Y.components()) > 2 * cfg.max_component:
+        Y = make_space(gs, gens[:1], name="target")
+    return f, Y
+
+
+# -- admissible squares, map by map ------------------------------------------
+
+
+def oracle_is_admissible(sq):
+    """The package's earlier body of ``spans.is_admissible``: equivariance
+    checked up front and again inside ``map_predicates`` and the covering
+    checks."""
+    from coarsehom.errors import InternalCheckError
+    from coarsehom.groups import require_equivariant
+    from coarsehom.spaces import map_predicates
+    from coarsehom.spans import _square_defect, is_bounded_covering
+
+    W, U, V, Z = sq.W, sq.U, sq.V, sq.Z
+    f, w, g, u = sq.f, sq.w, sq.g, sq.u
+    require_equivariant(f, W.carrier, U.carrier, "square map f")
+    require_equivariant(w, W.carrier, V.carrier, "square map w")
+    require_equivariant(g, V.carrier, Z.carrier, "square map g")
+    require_equivariant(u, U.carrier, Z.carrier, "square map u")
+
+    cg, pg, bg = map_predicates(g, V, Z)
+    if not (cg and pg and bg):
+        return False, "g is not controlled+proper+bornological"
+    cf, pf, bf = map_predicates(f, W, U)
+    if not (cf and pf and bf):
+        return False, "f is not controlled+proper+bornological"
+    cw, _, _ = map_predicates(w, W, V)
+    if not cw:
+        return False, "w is not controlled"
+
+    ok, diag = is_bounded_covering(u, U, Z)
+    if not ok:
+        return False, f"u is not a bounded covering: {diag}"
+
+    defect = _square_defect(sq)
+    if defect:
+        return False, defect
+    ok, diag = is_bounded_covering(w, W, V)
+    if not ok:
+        raise InternalCheckError(f"admissible square with non-covering left edge: {diag}")
+    return True, "admissible"

@@ -1,7 +1,8 @@
 import pytest
+from dataclasses import replace
 from random import Random
 
-from coarsehom import spans
+from coarsehom import spaces, spans
 from coarsehom.errors import InternalCheckError, ValidationError
 from coarsehom.groups import GSet, trivial_gset
 from coarsehom.randgen import FuzzConfig, random_composable_spans, random_cospan, random_space, random_span
@@ -84,6 +85,65 @@ def test_admissible_square_identity(three_min):
     assert ok, diag
 
 
+def test_admissible_reports_the_first_non_equivariant_map(c2, free2, free2_min):
+    # f is not equivariant and g is not controlled: equivariance comes first
+    Vmax = maximal_space(free2)
+    ident = identity_map(free2_min)
+    sq = AdmissibleSquareCandidate(free2_min, free2_min, Vmax, free2_min, (0, 0), ident, ident, ident)
+    with pytest.raises(ValidationError, match="square map f is not equivariant"):
+        is_admissible(sq)
+
+
+def _square_variants(rng, sq):
+    """The square, and squares with one corner's structure made maximal or
+    minimal or one map's orbit redirected."""
+    yield sq
+    for corner in "WUVZ":
+        X = getattr(sq, corner)
+        for other in (maximal_space(X.carrier), minimal_space(X.carrier)):
+            yield replace(sq, **{corner: other})
+    for leg, (src, dst) in {"f": "WU", "w": "WV", "g": "VZ", "u": "UZ"}.items():
+        S, T = getattr(sq, src), getattr(sq, dst)
+        if S.size == 0:
+            continue
+        rep = rng.randrange(S.size)
+        stab = S.carrier.stabilizer(rep)
+        q = rng.choice([q for q in range(T.size) if stab <= T.carrier.stabilizer(q)])
+        out = list(getattr(sq, leg))
+        for gg in S.group.elements():
+            out[S.carrier.act(gg, rep)] = T.carrier.act(gg, q)
+        yield replace(sq, **{leg: tuple(out)})
+
+
+def test_admissible_matches_the_map_by_map_oracle(monkeypatch):
+    from coarsehom import groups
+    from oracles import oracle_is_admissible
+
+    def outcome(fn, sq):
+        try:
+            return fn(sq)
+        except ValidationError as e:
+            return ("raised", str(e))
+
+    calls = []
+    real = groups.is_equivariant
+    monkeypatch.setattr(groups, "is_equivariant", lambda *a: calls.append(1) or real(*a))
+    rng = Random(17)
+    verdicts = set()
+    for _ in range(40):
+        g, V, u, U, Z = random_cospan(rng, CFG)
+        W, w, f = pullback(g, V, u, U, Z)
+        for sq in _square_variants(rng, AdmissibleSquareCandidate(W, U, V, Z, f, w, g, u)):
+            expected = outcome(oracle_is_admissible, sq)
+            calls.clear()
+            got = outcome(is_admissible, sq)
+            assert got == expected
+            verdicts.add(got[1])
+            if got[0] != "raised":
+                assert len(calls) == 4  # each map's equivariance, once
+    assert "admissible" in verdicts and len(verdicts) >= 4
+
+
 def test_pullback_completes_to_admissible_square():
     rng = Random(11)
     count = 0
@@ -149,7 +209,9 @@ def test_corrupt_fiber_product_trips_pullback_self_check(triv, monkeypatch, name
     W = bounded_union(I, X)
     ident = identity_map(X)
     pullback(ident, X, projection_map(I, X), W, X)
-    monkeypatch.setattr(spans, name, corrupt(getattr(spans, name)))
+    # the fiber product is built in spans, its structure from labels in spaces
+    owner = spaces if name == "CoarseStructure" else spans
+    monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
     with pytest.raises(InternalCheckError, match=message):
         pullback(ident, X, projection_map(I, X), W, X)
 

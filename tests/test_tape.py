@@ -228,3 +228,15 @@ def test_tape_compose_exactness_with_extras(fiber):
             direct = any(E1.contains(p, m) and E2.contains(m, q) for m in pts)
             if p[0] + 4 < w and q[0] + 4 < w:  # keep middles inside the window
                 assert comp.contains(p, q) == direct, (p, q)
+
+
+def test_tape_maps_are_controlled_iff_fiber_blocks_go_to_blocks(fiber, triv):
+    discrete = minimal_space(trivial_gset(triv, 2))
+    for preset in ("discrete", "band"):
+        T = TapeSpace(fiber, preset, "finite_window")
+        D = TapeSpace(discrete, preset, "finite_window")
+        assert not tape_map_predicates(TapeMap("shift", T, D, (0, 1), 0))[0]
+        assert tape_map_predicates(TapeMap("shift", T, D, (1, 1), 0))[0]
+        assert tape_map_predicates(TapeMap("shift", D, T, (0, 1), 0))[0]
+        assert not tape_map_predicates(TapeMap("project", T, discrete, (0, 1)))[0]
+        assert tape_map_predicates(TapeMap("project", T, discrete, (1, 1)))[0]
