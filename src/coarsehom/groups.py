@@ -10,6 +10,11 @@ CLI's ``parse_workspace``).  G-sets derived from validated ones (cosets,
 unions, products, fiber products) are valid by construction and are
 built through ``_trusted``, which skips the validator; functions that
 take raw arguments keep a cheap check on those.
+
+Coset data is built once per (group, subgroup): the coset table
+``_cosets`` and the G-set G/H of ``coset_gset`` are module-level
+``lru_cache``s, cleared with the subgroup-lattice caches.  Double cosets
+and orbit-category morphisms are read off them.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ class Group:
             if inv[a] is None:
                 raise ValidationError(f"element {a} has no inverse")
         object.__setattr__(self, "_inv", tuple(inv))
+        object.__setattr__(self, "_hash", hash(self.table))
         for a in range(n):
             for b in range(n):
                 for c in range(n):
@@ -106,7 +112,7 @@ class Group:
         return isinstance(other, Group) and self.table == other.table
 
     def __hash__(self):
-        return hash(self.table)
+        return self._hash
 
 
 def _generate(start, gens, mul):
@@ -277,18 +283,19 @@ def trivial_gset(group, size):
     return _trusted(GSet, group, size, action)
 
 
+@lru_cache(maxsize=None)
 def _cosets(group, H):
-    """The left cosets xH in the point order of ``coset_gset`` (by minimal
-    element): (their minimal elements, the coset index of every element).
-    Scanning in increasing order, the first element of a new coset is its
-    minimum."""
-    reps, where = [], {}
-    for x in group.elements():
-        if x not in where:
+    """The left cosets xH of the subgroup ``H`` (a frozenset) in the point
+    order of ``coset_gset`` (by minimal element): (their minimal elements,
+    the coset index of every element), both tuples.  Scanning in
+    increasing order, the first element of a new coset is its minimum."""
+    reps, where = [], [None] * group.order
+    for x, row in enumerate(group.table):
+        if where[x] is None:
             for h in H:
-                where[group.mul(x, h)] = len(reps)
+                where[row[h]] = len(reps)
             reps.append(x)
-    return reps, where
+    return tuple(reps), tuple(where)
 
 
 def _require_elements(group, H, what):
@@ -299,24 +306,53 @@ def _require_elements(group, H, what):
 
 
 def coset_gset(group, H):
-    """The transitive G-set G/H, cosets ordered by minimal element."""
+    """The transitive G-set G/H, cosets ordered by minimal element.
+
+    Built once per (group, subgroup).  The element check runs on every
+    call, because {0, True} is the same cache key as {0, 1}; the subgroup
+    check runs on every call that misses the cache, so a non-subgroup is
+    rejected each time."""
     H = frozenset(H)
     _require_elements(group, H, "coset space")
+    return _coset_space(group, H)
+
+
+@lru_cache(maxsize=None)
+def _coset_space(group, H):
     if not is_subgroup(group, H):
         raise ValidationError("coset space requires a subgroup")
     reps, where = _cosets(group, H)
-    action = tuple(
-        tuple(where[group.mul(g, x)] for x in reps) for g in group.elements()
-    )
+    action = tuple(tuple(where[row[x]] for x in reps) for row in group.table)
     return _trusted(GSet, group, len(reps), action)
 
 
 def coset_map(group, H, K, g):
     """Images of the map G/H -> G/K, xH -> xgK, on the coset indices of
     ``coset_gset`` (well defined when g^-1 H g <= K)."""
-    reps, _ = _cosets(group, H)
-    _, where = _cosets(group, K)
-    return tuple(where[group.mul(x, g)] for x in reps)
+    reps, _ = _cosets(group, frozenset(H))
+    _, where = _cosets(group, frozenset(K))
+    table = group.table
+    return tuple(where[table[x][g]] for x in reps)
+
+
+def double_coset_representatives(group, K, H):
+    """The least element of each double coset KgH, in increasing order.
+
+    The double cosets are the K-orbits on the points of G/H.  Cosets are
+    ordered by minimal element, so the first coset met in each orbit
+    holds the least element of its double coset, and that coset's
+    minimal element is it."""
+    S = coset_gset(group, H)
+    reps, _ = _cosets(group, frozenset(H))
+    rows = [S.action[k] for k in K]
+    seen = [False] * S.size
+    out = []
+    for p in range(S.size):
+        if not seen[p]:
+            out.append(reps[p])
+            for row in rows:
+                seen[row[p]] = True
+    return out
 
 
 def disjoint_union_gsets(parts):
@@ -605,22 +641,18 @@ class OrbitCategory:
 
 
 def orbit_category(group, family="all"):
+    """Or_F(G) on class representatives.  A map G/H -> G/K is determined
+    by the image p = gK of the coset H, which must be an H-fixed point
+    (g^-1 H g <= K); then xH -> x.p.  So Hom(G/H, G/K) has one map per
+    point of (G/K)^H: one g per coset gK."""
     if family == "all":
         family = family_all(group)
     reps = family.class_representatives()
     objects = tuple(coset_gset(group, H) for H in reps)
-    cosets = [_cosets(group, H) for H in reps]
     homs = {}
     for i, H in enumerate(reps):
-        for j, K in enumerate(reps):
-            # xH -> xgK on coset indices, for every g with g^-1 H g <= K
-            where = cosets[j][1]
-            maps = {
-                tuple(where[group.mul(x, g)] for x in cosets[i][0])
-                for g in group.elements()
-                if all(group.conj(group.inv(g), h) in K for h in H)
-            }
-            homs[(i, j)] = tuple(
-                OrbitMorphism(i, j, m) for m in sorted(maps)
-            )
+        xs = _cosets(group, H)[0]
+        for j, T in enumerate(objects):
+            maps = sorted(tuple(T.action[x][p] for x in xs) for p in T.fixed_points(H))
+            homs[(i, j)] = tuple(OrbitMorphism(i, j, m) for m in maps)
     return OrbitCategory(group, tuple(reps), objects, homs)

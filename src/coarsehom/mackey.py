@@ -25,6 +25,7 @@ from .groups import (
     _trusted,
     coset_gset,
     coset_map,
+    double_coset_representatives,
     fiber_product_gset,
     is_equivariant,
     orbit_category,
@@ -214,18 +215,8 @@ def double_coset_check(group, H, K, maxdeg=2):
     ]
     lhs_span = ctx.em_morphism(composite)
 
-    # enumerate double coset representatives K g H
-    seen = set()
-    reps = []
-    for g in group.elements():
-        coset = frozenset(
-            group.mul(group.mul(k, g), h) for k in K for h in H
-        )
-        if coset not in seen:
-            seen.add(coset)
-            reps.append(g)
     terms = []
-    for g in reps:
+    for g in double_coset_representatives(group, K, H):
         gi = group.inv(g)
         L = frozenset(
             x for x in K if group.mul(group.mul(gi, x), g) in H

@@ -205,8 +205,10 @@ def random_controlled_map(rng: Random, W: BornCoarseSpace, cfg: FuzzConfig = Fuz
             images[rep] = candidates[rng.randrange(len(candidates))]
     if len(target_parts) > 1:
         gs, _ = disjoint_union_gsets(target_parts)
-    else:
+    elif target_parts:
         gs = target_parts[0]
+    else:  # W is empty and no part was drawn
+        gs = trivial_gset(group, 0)
     f = [None] * W.size
     for orb in W.carrier.orbits():
         rep = orb[0]

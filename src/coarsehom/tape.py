@@ -117,14 +117,22 @@ class TapeSpace:
         return False
 
     def has_entourage(self, U: TapeEntourage):
-        """Structure membership for the symbolic entourage class."""
-        R = self.fiber.coarse.closure_entourage()
+        """Structure membership for the symbolic entourage class.  A fiber
+        pair (x, y) is allowed iff x and y are points of one fiber block;
+        anything else, a point off the fiber included, is not."""
+        label = dict(enumerate(self.fiber.coarse.block)).get
+
+        def related(x, y):
+            b = label(x)
+            return b is not None and b == label(y)
+
+        in_blocks = all(related(x, y) for (x, y) in U.fiber_rel)
         if self.coarse_preset == "discrete":
-            band_ok = (U.radius == 0 and U.fiber_rel <= R) or not U.fiber_rel
-            extra_ok = all(i == j and (x, y) in R for ((i, x), (j, y)) in U.extra)
+            band_ok = (U.radius == 0 and in_blocks) or not U.fiber_rel
+            extra_ok = all(i == j and related(x, y) for ((i, x), (j, y)) in U.extra)
         else:
-            band_ok = (U.radius is not INF and U.fiber_rel <= R) or not U.fiber_rel
-            extra_ok = all((x, y) in R for ((i, x), (j, y)) in U.extra)
+            band_ok = (U.radius is not INF and in_blocks) or not U.fiber_rel
+            extra_ok = all(related(x, y) for ((i, x), (j, y)) in U.extra)
         return band_ok and extra_ok
 
     def components_symbolic(self):
@@ -247,7 +255,8 @@ def tape_projection_is_bounded_covering(f: TapeMap):
     if not cond1:
         diag.append("condition 1: restricted induced structure differs from the source structure")
 
-    # condition 2: every component maps isomorphically onto a component of Y
+    # condition 2: every component maps isomorphically onto a component of Y;
+    # being controlled, f maps each fiber block into one block of Y
     cond2 = True
     if kind == "global" and src.fiber.size > 0:
         cond2 = False
@@ -255,12 +264,7 @@ def tape_projection_is_bounded_covering(f: TapeMap):
     else:
         for comp in blocks:
             images = [f.fiber_images[x] for x in comp]
-            target_blocks = {Y.coarse.block[v] for v in images}
-            if len(target_blocks) != 1:
-                cond2 = False
-                diag.append(f"condition 2: fiber component {comp} maps into several components")
-                break
-            tb = target_blocks.pop()
+            tb = Y.coarse.block[images[0]]
             target = sorted(v for v in range(Y.size) if Y.coarse.block[v] == tb)
             if len(set(images)) != len(images) or sorted(set(images)) != target:
                 cond2 = False

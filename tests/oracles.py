@@ -7,9 +7,10 @@ transform of the fast one must equal it),
 brute-force homology via full tuple enumeration, the chain layer by
 whole-group orbit scans (no canonical tuples, no stabilizers), a second
 construction of orbit-category colimits with its own verdict decisions,
-subgroup lattices by testing every subset for closure, equivariance
-pair by pair, and the span layer's earlier predicates by quadratic pair
-sets.
+subgroup lattices by testing every subset for closure, cosets, double
+cosets and orbit-category hom-sets by scans over every group element,
+equivariance pair by pair, and the span layer's earlier predicates by
+quadratic pair sets.
 """
 
 import itertools
@@ -543,6 +544,59 @@ def is_lattice(subs):
     return True
 
 
+# -- coset combinatorics, element by element ---------------------------------
+
+
+def _oracle_cosets(group, H):
+    """Left cosets xH by minimal element: (minimal elements, element -> index)."""
+    reps, where = [], {}
+    for x in group.elements():
+        if x not in where:
+            for h in H:
+                where[group.mul(x, h)] = len(reps)
+            reps.append(x)
+    return reps, where
+
+
+def oracle_coset_gset(group, H):
+    """G/H through the validating ``GSet`` constructor."""
+    from coarsehom.groups import GSet
+
+    reps, where = _oracle_cosets(group, H)
+    action = tuple(tuple(where[group.mul(g, x)] for x in reps) for g in group.elements())
+    return GSet(group, len(reps), action)
+
+
+def oracle_double_coset_representatives(group, K, H):
+    """The package's earlier enumeration: scan G in order and keep each g
+    whose double coset KgH, built as a set, is new."""
+    seen, reps = set(), []
+    for g in group.elements():
+        coset = frozenset(group.mul(group.mul(k, g), h) for k in K for h in H)
+        if coset not in seen:
+            seen.add(coset)
+            reps.append(g)
+    return reps
+
+
+def oracle_orbit_category_homs(group, family):
+    """The package's earlier hom-sets: (i, j) -> sorted images of
+    xH -> xgK over every g in G with g^-1 H g <= K."""
+    reps = family.class_representatives()
+    cosets = [_oracle_cosets(group, H) for H in reps]
+    homs = {}
+    for i, H in enumerate(reps):
+        for j, K in enumerate(reps):
+            where = cosets[j][1]
+            maps = {
+                tuple(where[group.mul(x, g)] for x in cosets[i][0])
+                for g in group.elements()
+                if all(group.conj(group.inv(g), h) in K for h in H)
+            }
+            homs[(i, j)] = sorted(maps)
+    return homs
+
+
 # -- independent colimit / assembly oracle ------------------------------------
 
 
@@ -890,7 +944,7 @@ def oracle_random_controlled_map(rng, W, cfg):
     is grown from the orbit types of W, the target structure is generated
     by the image of the source structure plus invariant noise.
     Returns (f, Y)."""
-    from coarsehom.groups import coset_gset, disjoint_union_gsets
+    from coarsehom.groups import coset_gset, disjoint_union_gsets, trivial_gset
     from coarsehom.randgen import _invariant_pair_orbit, random_gset
     from coarsehom.spaces import make_space
 
@@ -916,8 +970,10 @@ def oracle_random_controlled_map(rng, W, cfg):
             images[rep] = candidates[rng.randrange(len(candidates))]
     if len(target_parts) > 1:
         gs, _ = disjoint_union_gsets(target_parts)
-    else:
+    elif target_parts:
         gs = target_parts[0]
+    else:
+        gs = trivial_gset(group, 0)
     f = [None] * W.size
     for orb in W.carrier.orbits():
         rep = orb[0]
@@ -938,6 +994,19 @@ def oracle_random_controlled_map(rng, W, cfg):
     if Y.components() and max(len(c) for c in Y.components()) > 2 * cfg.max_component:
         Y = make_space(gs, gens[:1], name="target")
     return f, Y
+
+
+def oracle_has_entourage(T, U):
+    """The package's earlier ``TapeSpace.has_entourage``: membership of
+    the fiber pairs in the fiber closure, built as a pair set."""
+    R = T.fiber.coarse.closure_entourage()
+    if T.coarse_preset == "discrete":
+        band_ok = (U.radius == 0 and U.fiber_rel <= R) or not U.fiber_rel
+        extra_ok = all(i == j and (x, y) in R for ((i, x), (j, y)) in U.extra)
+    else:
+        band_ok = (U.radius is not None and U.fiber_rel <= R) or not U.fiber_rel
+        extra_ok = all((x, y) in R for ((i, x), (j, y)) in U.extra)
+    return band_ok and extra_ok
 
 
 # -- admissible squares, map by map ------------------------------------------

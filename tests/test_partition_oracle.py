@@ -18,7 +18,7 @@ from random import Random
 import pytest
 
 from coarsehom.errors import ValidationError
-from coarsehom.groups import GSet, cyclic_group, trivial_gset
+from coarsehom.groups import GSet, cyclic_group, trivial_group, trivial_gset
 from coarsehom.randgen import (
     GROUP_CATALOG,
     FuzzConfig,
@@ -26,6 +26,7 @@ from coarsehom.randgen import (
     random_composable_spans,
     random_controlled_map,
     random_cospan,
+    random_covering,
     random_equivariant_map,
     random_gset,
     random_space,
@@ -35,6 +36,7 @@ from coarsehom.spaces import (
     BornCoarseSpace,
     CoarseStructure,
     coproduct,
+    empty_space,
     induced_structure,
     make_space,
     maximal_space,
@@ -43,6 +45,7 @@ from coarsehom.spaces import (
 )
 from coarsehom.spans import AdmissibleSquareCandidate, compose, is_admissible, pullback
 from coarsehom.tape import (
+    TapeEntourage,
     TapeMap,
     TapeSpace,
     tape_map_predicates,
@@ -160,6 +163,22 @@ def test_constructors_match_the_pair_set_oracles():
             assert after == rng.getstate()
 
 
+def test_random_span_of_an_empty_space():
+    # W is empty, so the target is grown from the drawn parts alone; when
+    # none is drawn it is the empty G-set
+    for grp in (trivial_group(), cyclic_group(2)):
+        X = empty_space(grp)
+        for seed in range(10):
+            span = random_span(Random(seed), X, CFG)
+            assert span.apex.size == 0 and span.right == ()
+            W = random_covering(Random(seed), X, CFG)[0]
+            rng, old_rng = Random(seed), Random(seed)
+            f, T = random_controlled_map(rng, W, CFG)
+            old_f, old_T = oracle_random_controlled_map(old_rng, W, CFG)
+            assert (f, T.carrier, T.coarse) == (old_f, old_T.carrier, old_T.coarse)
+            assert rng.getstate() == old_rng.getstate()
+
+
 def test_no_structure_builds_its_pair_set(monkeypatch, pt, three_min, chain3, free2_min):
     def refuse(self):
         raise AssertionError("a coarse structure built its pair set")
@@ -178,6 +197,8 @@ def test_no_structure_builds_its_pair_set(monkeypatch, pt, three_min, chain3, fr
             tape_map_predicates(proj)
             tape_projection_is_bounded_covering(proj)
             tape_map_predicates(TapeMap("shift", T, T, tuple(range(X.size)), 1))
+            rel = frozenset((x, x) for x in range(X.size)) | {(0, X.size - 1)}
+            T.has_entourage(TapeEntourage(0, rel, frozenset({((1, 0), (1, 0))})))
     rng = Random(7)
     for X in (pt, three_min, chain3, free2_min):
         random_span(rng, X, CFG)

@@ -1,4 +1,7 @@
+from random import Random
+
 import pytest
+from oracles import oracle_has_entourage
 
 from coarsehom.errors import OutOfScopeError, ValidationError
 from coarsehom.groups import GSet, trivial_gset
@@ -8,6 +11,7 @@ from coarsehom.homology import (
     tape_transfer_chain,
     validate_chain_table,
 )
+from coarsehom.randgen import FuzzConfig, random_space
 from coarsehom.spaces import make_space, maximal_space, minimal_space, point_space
 from coarsehom.tape import (
     TapeEntourage,
@@ -68,6 +72,46 @@ def test_structure_membership(fiber):
     assert not disc.has_entourage(band(1, R))
     assert bnd.has_entourage(band(7, R))
     assert not bnd.has_entourage(TapeEntourage(None, R))
+
+
+def _random_entourage(rng, size):
+    """Fiber pairs and extra pairs over the points -1..size, so that some
+    lie off the fiber."""
+    pts = range(-1, size + 1)
+
+    def pair():
+        return rng.choice(pts), rng.choice(pts)
+
+    rel = frozenset(pair() for _ in range(rng.randrange(4)))
+    extra = frozenset(
+        ((rng.randrange(4), x), (rng.randrange(4), y))
+        for (x, y) in (pair() for _ in range(rng.randrange(3)))
+    )
+    return TapeEntourage(rng.choice((0, 1, 3, None)), rel, extra)
+
+
+def test_has_entourage_matches_the_pair_set_oracle(fiber, triv):
+    fibers = [fiber, minimal_space(trivial_gset(triv, 2)), maximal_space(trivial_gset(triv, 3))]
+    rng = Random(0)
+    fibers += [random_space(rng, FuzzConfig()) for _ in range(10)]
+    verdicts = set()
+    for X in fibers:
+        R = X.coarse.closure_entourage()
+        entourages = [band(0, R), band(2, R), TapeEntourage(None, R), band(1, frozenset())]
+        entourages += [_random_entourage(rng, X.size) for _ in range(40)]
+        entourages += [
+            TapeEntourage(r, frozenset(), frozenset({((i, x), (j, y))}))
+            for r in (0, None)
+            for (i, j) in ((2, 2), (2, 5))
+            for (x, y) in sorted(R)[:3]
+        ]
+        for preset in ("discrete", "band"):
+            T = TapeSpace(X, preset, "finite_window")
+            for U in entourages:
+                got = T.has_entourage(U)
+                assert got == oracle_has_entourage(T, U), (X, preset, U)
+                verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_bounded_and_free_union_agree_over_finite_fiber(fiber):
