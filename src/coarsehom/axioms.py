@@ -35,6 +35,7 @@ from .homology import (
     pullback_chain_cols,
     pushforward_chain_cols,
     scols_mul,
+    space_complex,
 )
 
 
@@ -130,8 +131,8 @@ def check_coarse_invariance(X: BornCoarseSpace, maxdeg=2):
     D = two_point_max_space(X.group)
     Y = tensor(D, X)
     proj = tuple(idx % X.size for idx in range(Y.size))
-    cxY = SpaceComplex(Y, maxdeg)
-    cxX = SpaceComplex(X, maxdeg)
+    cxY = space_complex(Y, maxdeg)
+    cxX = space_complex(X, maxdeg)
     cols = [
         pushforward_chain_cols(proj, Y, X, cxY, cxX, n) for n in range(maxdeg + 2)
     ]
@@ -154,11 +155,11 @@ def check_u_continuity(X: BornCoarseSpace, maxdeg=2):
         stages.append(make_space(X.carrier, gens[:k], name=f"{X.name}_U{k}"))
     if stages[-1].coarse != X.coarse:
         raise InternalCheckError("generator filtration does not reach the structure")
-    cxX = SpaceComplex(X, maxdeg)
+    cxX = space_complex(X, maxdeg)
     ident = tuple(range(X.size))
     iso_from = None
     for k, Xk in enumerate(stages):
-        cxK = SpaceComplex(Xk, maxdeg)
+        cxK = space_complex(Xk, maxdeg)
         if all(
             homology_map_from_chain_cols(
                 pushforward_chain_cols(ident, Xk, X, cxK, cxX, n), cxK, cxX, n
@@ -185,8 +186,8 @@ def check_weak_transfers(X: BornCoarseSpace, I: GSet, maxdeg=2):
     if I.size == 0:
         raise ValidationError("the index set must be nonempty")
     W = bounded_union(I, X)
-    cxX = SpaceComplex(X, maxdeg)
-    cxW = SpaceComplex(W, maxdeg)
+    cxX = space_complex(X, maxdeg)
+    cxW = space_complex(W, maxdeg)
     tr_cols = [
         pullback_chain_cols(projection_map(I, X), W, X, cxW, cxX, n)
         for n in range(maxdeg + 1)
@@ -205,8 +206,8 @@ def check_additivity(parts, maxdeg=2):
     """The inclusions induce an isomorphism from the direct sum of the
     parts' homology onto the homology of the coproduct."""
     X, offsets = coproduct(parts)
-    cxX = SpaceComplex(X, maxdeg)
-    cxs = [SpaceComplex(p, maxdeg) for p in parts]
+    cxX = space_complex(X, maxdeg)
+    cxs = [space_complex(p, maxdeg) for p in parts]
     for n in range(maxdeg + 1):
         homs = []
         for p, off, cx in zip(parts, offsets, cxs):
@@ -225,8 +226,8 @@ def check_strong_additivity(parts, maxdeg=2):
     """The restriction spans p_j^free assemble to an isomorphism from
     the homology of the free union onto the product of the parts'."""
     X, offsets = free_union_family(parts)
-    cxX = SpaceComplex(X, maxdeg)
-    cxs = [SpaceComplex(p, maxdeg) for p in parts]
+    cxX = space_complex(X, maxdeg)
+    cxs = [space_complex(p, maxdeg) for p in parts]
     for n in range(maxdeg + 1):
         homs = []
         for p, off, cx in zip(parts, offsets, cxs):

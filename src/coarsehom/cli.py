@@ -29,7 +29,7 @@ from . import spans as SPN
 from . import tape as TP
 from . import axioms as AX
 from . import mackey as MK
-from .homology import SpaceComplex, homology, induced_map
+from .homology import SpaceComplex, homology, induced_map, space_complex
 from . import randgen as RG
 
 
@@ -460,7 +460,7 @@ def cmd_check_axioms(args, ws, out):
     N = args.max_degree
     checks = []
 
-    cx = SpaceComplex(X, N)
+    cx = space_complex(X, N)
     checks.append(("d.d = 0", cx.check_dd_zero(), ""))
     ok, v = AX.check_coarse_invariance(X, N)
     checks.append(("coarse invariance", ok, f"degrees {v}"))

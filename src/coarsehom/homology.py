@@ -18,12 +18,21 @@ back along the covering and multiplies by the characteristic function
 of component-constrained tuples, and f_* sums over fibers.  Homology
 is exact over Z via Smith normal form, computed slice by slice over
 G-orbits of coarse components (boundaries never mix slices).
+
+A complex depends only on its carrier and block labels (space equality
+ignores names and generators), and it memoizes its boundaries and
+homology data, so callers that read maps between the same spaces share
+complexes through ``space_complex``, a small module-level LRU cache.
+Two builders stay out of it: ``homology``, which reads only invariants
+and drops its complex, and excision's relative complexes, whose
+``exclude`` predicate is not a key.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 
 from .errors import InternalCheckError, OutOfScopeError, ValidationError
@@ -116,6 +125,8 @@ class SpaceComplex:
 
     def __init__(self, X: BornCoarseSpace, maxdeg, exclude=None):
         _require_finite(X, "chain complexes")
+        if maxdeg < 0:
+            raise ValidationError(f"chain complexes need a degree >= 0, got {maxdeg}")
         self.X = X
         self.N = maxdeg
         self.bases = []
@@ -145,11 +156,19 @@ class SpaceComplex:
             raise ValidationError("boundary degree out of range")
         cols = []
         lower = self.index[n - 1]
+        transporters = self.X.carrier.transporters
         for rep in self.bases[n]:
-            stab = canonical_tuple(self.X, rep)[1]
+            if len(transporters[rep[0]]) == 1:
+                # rep[0] is a free point, least in its orbit: Stab(rep) = 1,
+                # and every face that keeps rep[0] is canonical with Stab 1
+                stab = 1
+                faces = [canonical_tuple(self.X, rep[1:])]
+                faces += [(rep[:i] + rep[i + 1 :], 1) for i in range(1, n + 1)]
+            else:
+                stab = canonical_tuple(self.X, rep)[1]
+                faces = [canonical_tuple(self.X, rep[:i] + rep[i + 1 :]) for i in range(n + 1)]
             col = {}
-            for i in range(n + 1):
-                face, face_stab = canonical_tuple(self.X, rep[:i] + rep[i + 1 :])
+            for i, (face, face_stab) in enumerate(faces):
                 idx = lower.get(face)
                 if idx is not None:
                     col[idx] = col.get(idx, 0) + (-1) ** i * (face_stab // stab)
@@ -341,9 +360,21 @@ class GradedAbGroup:
         return "\n".join(out)
 
 
+# Eight complexes cover the spaces one axiom check or one Mackey
+# computation reads in turn (with four, mackey-assembly reuses only
+# about a fifth of its requests).
+@lru_cache(maxsize=8)
+def space_complex(X: BornCoarseSpace, maxdeg):
+    """The complex of X in degrees 0..maxdeg, shared by every caller that
+    asks for an equal space and degree; callers only read it."""
+    return SpaceComplex(X, maxdeg)
+
+
 def homology(X: BornCoarseSpace, maxdeg=3):
     """Homology of the invariant controlled chain complex, degrees 0..maxdeg."""
     _require_finite(X, "homology")
+    # not through space_complex: only the invariants are read, and a
+    # small job that evicts a large cached complex pays more than it saves
     cx = SpaceComplex(X, maxdeg)
     return GradedAbGroup(tuple(cx.homology_data(n).invariants() for n in range(maxdeg + 1)))
 
@@ -410,7 +441,7 @@ def induced_map(span: Span, maxdeg=3):
     validates that the chain map commutes with the differential."""
     for s in (span.src, span.apex, span.dst):
         _require_finite(s, "induced maps")
-    cxX, cxW, cxY = (SpaceComplex(s, maxdeg) for s in (span.src, span.apex, span.dst))
+    cxX, cxW, cxY = (space_complex(s, maxdeg) for s in (span.src, span.apex, span.dst))
     cols = [span_chain_cols(span, cxX, cxW, cxY, n) for n in range(maxdeg + 2)]
     if not chain_map_commutes(cols, cxX, cxY, maxdeg + 1):
         raise InternalCheckError("induced chain map does not commute with the differential")

@@ -36,9 +36,9 @@ from .snf import AbHom, FPAbGroup, direct_sum
 from .spaces import find_space_isomorphism, minimal_space
 from .spans import Span, make_span
 from .homology import (
-    SpaceComplex,
     homology_map_from_chain_cols,
     pushforward_chain_cols,
+    space_complex,
     span_chain_cols,
 )
 
@@ -149,8 +149,8 @@ def EM_object(S: GSet, maxdeg=3):
 
 
 class EMContext:
-    """Caches chain complexes and homology presentations of the minimal
-    spaces appearing in one computation."""
+    """Caches the minimal spaces appearing in one computation and their
+    chain complexes, which come from the shared ``space_complex``."""
 
     def __init__(self, maxdeg=2):
         self.maxdeg = maxdeg
@@ -164,9 +164,11 @@ class EMContext:
         return self._space[key]
 
     def complex_of(self, S: GSet):
+        # _cx stays beside the shared cache: perfbench/tracer.py counts
+        # mackey.complex_requests hits by reading it under this key
         key = (S.group, S.size, S.action)
         if key not in self._cx:
-            self._cx[key] = SpaceComplex(self.space_of(S), self.maxdeg)
+            self._cx[key] = space_complex(self.space_of(S), self.maxdeg)
         return self._cx[key]
 
     def em_morphism(self, s: GFinSpan):
@@ -215,17 +217,7 @@ def double_coset_check(group, H, K, maxdeg=2):
     ]
     lhs_span = ctx.em_morphism(composite)
 
-    terms = []
-    for g in double_coset_representatives(group, K, H):
-        gi = group.inv(g)
-        L = frozenset(
-            x for x in K if group.mul(group.mul(gi, x), g) in H
-        )
-        GL = coset_gset(group, L)
-        left = coset_projection(group, L, K)
-        right = coset_translation(group, L, H, g)
-        span_g = GFinSpan(coset_gset(group, K), coset_gset(group, H), GL, left, right)
-        terms.append(ctx.em_morphism(span_g))
+    terms = [ctx.em_morphism(span_g) for span_g in _double_coset_spans(group, H, K)]
     rhs = [hom_sum([t[n] for t in terms]) for n in range(maxdeg + 1)]
 
     for n in range(maxdeg + 1):
@@ -234,6 +226,24 @@ def double_coset_check(group, H, K, maxdeg=2):
         if not hom_equal(lhs_direct[n], lhs_span[n]):
             raise InternalCheckError("EM functoriality failed on the double-coset composite")
     return True
+
+
+def _double_coset_spans(group, H, K):
+    """The one-step spans G/K <- G/(K cap gHg^-1) -> G/H, one per double
+    coset K g H."""
+    GK, GH = coset_gset(group, K), coset_gset(group, H)
+    spans = []
+    for g in double_coset_representatives(group, K, H):
+        gi = group.inv(g)
+        L = frozenset(
+            x for x in K if group.mul(group.mul(gi, x), g) in H
+        )
+        left = coset_projection(group, L, K)
+        right = coset_translation(group, L, H, g)
+        # both legs are coset maps, equivariant once coset_projection has
+        # checked L <= K and coset_translation g^-1 L g <= H
+        spans.append(_trusted(GFinSpan, GK, GH, coset_gset(group, L), left, right))
+    return spans
 
 
 # -- Burnside marks ----------------------------------------------------------

@@ -14,14 +14,15 @@ from coarsehom.axioms import (
     validate_complementary_pair,
 )
 from coarsehom.errors import ValidationError
-from coarsehom.groups import trivial_gset
+from coarsehom.groups import GSet, trivial_gset
 from coarsehom.randgen import (
     FuzzConfig,
     random_complementary_pair,
     random_group,
     random_space,
 )
-from coarsehom.homology import SpaceComplex, pullback_chain_cols
+from coarsehom.homology import SpaceComplex, homology, pullback_chain_cols, space_complex
+from coarsehom.mackey import double_coset_check
 from coarsehom.spaces import bounded_union, coproduct, make_space, maximal_space, minimal_space
 from coarsehom.spans import inclusion_at
 
@@ -155,3 +156,23 @@ def test_weak_transfer_projection_is_pullback_along_inclusion(seed):
             for n in range(3):
                 cols = pullback_chain_cols(inclusion_at(X, I, j), X, W, cxX, cxW, n)
                 assert cols == weak_transfer_projection_cols(X, j, cxX, cxW, n)
+
+
+def test_negative_degrees_are_rejected(c2):
+    # degree -1 leaves nothing to compare: a check there would pass vacuously
+    X = maximal_space(GSet(c2, 2, ((0, 1), (1, 0))))
+    calls = [
+        lambda: SpaceComplex(X, -1),
+        lambda: space_complex(X, -1),
+        lambda: homology(X, -1),
+        lambda: check_coarse_invariance(X, -1),
+        lambda: check_u_continuity(X, -1),
+        lambda: check_weak_transfers(X, trivial_gset(c2, 2), -1),
+        lambda: check_additivity([X, X], -1),
+        lambda: check_strong_additivity([X, X], -1),
+        lambda: check_excision(X, [0, 1], [[], [0, 1]], -1),
+        lambda: double_coset_check(c2, {0}, {0, 1}, -1),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()

@@ -3,6 +3,7 @@ from random import Random
 
 from oracles import brute_force_homology, oracle_assembly_verdicts
 from coarsehom.groups import (
+    GROUP_PRESETS,
     GSet,
     all_subgroups,
     coset_gset,
@@ -18,6 +19,7 @@ from coarsehom.groups import (
 )
 from coarsehom.mackey import (
     EMContext,
+    _double_coset_spans,
     EM_morphism,
     EM_object,
     GFinSpan,
@@ -307,3 +309,16 @@ def test_double_coset_s4_all_pairs_degree_0():
     for H in reps:
         for K in reps:
             assert double_coset_check(s4, H, K, 0), (sorted(H), sorted(K))
+
+
+@pytest.mark.parametrize("name", ["S4", "A4", "A5"])
+def test_double_coset_spans_pass_the_validator(name):
+    # the one-step spans skip GFinSpan's validator: the same legs must pass it
+    g = GROUP_PRESETS[name]()
+    reps = subgroup_class_representatives(g)
+    for H in reps:
+        for K in reps:
+            spans = _double_coset_spans(g, H, K)
+            assert spans
+            for s in spans:
+                assert GFinSpan(s.src, s.dst, s.apex, s.left, s.right) == s
