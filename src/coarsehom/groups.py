@@ -264,9 +264,9 @@ class GSet:
         Built once per G-set, on first use."""
         rows = self.action
         table = []
-        for x in range(self.size):
-            m = min(row[x] for row in rows)
-            table.append(tuple(row for row in rows if row[x] == m))
+        for column in zip(*rows):  # column[g] = g.x
+            m = min(column)
+            table.append(tuple(row for row, gx in zip(rows, column) if gx == m))
         return tuple(table)
 
     def fixed_points(self, H):
@@ -395,11 +395,19 @@ def fiber_product_gset(A, a, B, b):
     """The G-set {(x, y) | a(x) = b(y)} of two equivariant maps into one
     G-set, with the diagonal action; returns it with its points (x, y)
     in lexicographic order.  The legs must already be known equivariant."""
-    pts = [(x, y) for x in range(A.size) for y in range(B.size) if a[x] == b[y]]
-    index = {p: k for k, p in enumerate(pts)}
+    fibers, rank = {}, []  # fibers[t]: the y with b(y) = t, increasing
+    for y, t in enumerate(b):
+        ys = fibers.setdefault(t, [])
+        rank.append(len(ys))  # rank[y]: the position of y in its fiber
+        ys.append(y)
+    pts, start = [], []  # start[x]: the index of the first point (x, _)
+    for x, t in enumerate(a):
+        start.append(len(pts))
+        pts.extend((x, y) for y in fibers.get(t, ()))
+    # g.(x, y) = (g.x, g.y) lies in the fiber of x' = g.x, at rank[g.y]
     action = tuple(
-        tuple(index[(A.action[g][x], B.action[g][y])] for (x, y) in pts)
-        for g in A.group.elements()
+        tuple(start[rowA[x]] + rank[rowB[y]] for x, y in pts)
+        for rowA, rowB in zip(A.action, B.action)
     )
     return _trusted(GSet, A.group, len(pts), action), pts
 

@@ -300,9 +300,10 @@ def assembly(group, family: SubgroupFamily, degree=0):
     The colimit of the finite diagram of finitely generated abelian
     groups is presented as the direct sum of the object groups modulo
     one relation per non-identity morphism and object generator.  The
-    split-injectivity verdict is a decision procedure on the presented
-    groups and is reported as empirical; it is not a proof of the
-    spectrum-level statement.
+    split-injectivity verdict is decided on the presented groups by
+    Miyata's criterion (``AbHom.is_split_injective``: injective, and the
+    target has the invariants of colimit + cokernel); it is reported as
+    empirical, since it is not a proof of the spectrum-level statement.
     """
     cat = orbit_category(group, family)
     ctx = EMContext(max(degree, 0))

@@ -30,13 +30,6 @@ def mat_zero(m, n):
     return [[0] * n for _ in range(m)]
 
 
-def mat_identity(n):
-    out = mat_zero(n, n)
-    for i in range(n):
-        out[i][i] = 1
-    return out
-
-
 def mat_mul(A, B):
     m = len(A)
     k = len(B)
@@ -55,10 +48,6 @@ def mat_mul(A, B):
                     if Bt[j]:
                         Oi[j] += a * Bt[j]
     return out
-
-
-def mat_eq(A, B):
-    return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
 
 
 def mat_vec(A, v):
@@ -577,38 +566,23 @@ class AbHom:
         return self.is_injective() and self.is_surjective()
 
     def is_split_injective(self):
-        """Exists beta with beta . alpha = id on src: beta M = I + Rs Z and
-        beta Rd = Rs Y for integer multiplier matrices Z, Y.  Solved as one
-        integer linear system in the entries of beta, Z and Y."""
-        a, b = self.src.ngens, self.dst.ngens
-        rs = self.src.relations
-        rd = self.dst.relations
-        nrs, nrd = len(rs), len(rd)
-        nbeta = a * b
-        nZ = nrs * a
-        nY = nrs * nrd
-        rows = []
-        rhs = []
-        # beta M - Rs Z = I over (i, j) in a x a; Z is nrs x a
-        for i in range(a):
-            for j in range(a):
-                row = [0] * (nbeta + nZ + nY)
-                for k in range(b):
-                    row[i * b + k] = self.matrix[k][j]
-                for l in range(nrs):
-                    row[nbeta + l * a + j] -= rs[l][i]
-                rows.append(row)
-                rhs.append(1 if i == j else 0)
-        # beta Rd - Rs Y = 0 over (i, c) in a x nrd; Y is nrs x nrd
-        for i in range(a):
-            for c in range(nrd):
-                row = [0] * (nbeta + nZ + nY)
-                for k in range(b):
-                    row[i * b + k] = rd[c][k]
-                for l in range(nrs):
-                    row[nbeta + nZ + l * nrd + c] -= rs[l][i]
-                rows.append(row)
-                rhs.append(0)
-        if not rows:
-            return True
-        return solve_int(rows, rhs, len(rows), nbeta + nZ + nY) is not None
+        """Is there a beta with beta . alpha = id on src?  Decided by
+        Miyata's theorem ("Note on direct summands of modules", 1967):
+        for finitely generated abelian groups, 0 -> A -> B -> C -> 0
+        splits iff B is isomorphic to A + C.  So alpha splits iff it is
+        injective and dst has the invariants of src + coker alpha.
+
+        The invariants alone force injectivity.  Equal ranks leave a
+        finite kernel K.  The map torsion(dst) -> coker has kernel
+        torsion(image), of order |torsion(src)| / |K|, so |torsion(dst)|
+        <= |torsion(src)| |torsion(coker)| / |K|, while equal invariants
+        make the left side |torsion(src)| |torsion(coker)|: K = 0.  The
+        sum's invariants come from a diagonal presentation of both
+        torsion lists, so src's relations are not reduced again."""
+        b = self.dst.ngens
+        image = [[row[j] for row in self.matrix] for j in range(self.src.ngens)]
+        coker = FPAbGroup(b, image + [list(c) for c in self.dst.relations])
+        torsion = self.src.torsion + coker.torsion
+        diagonal = [[d if i == c else 0 for i in range(len(torsion))] for c, d in enumerate(torsion)]
+        sum_torsion = FPAbGroup(len(torsion), diagonal).torsion
+        return self.dst.invariants() == (self.src.rank + coker.rank, tuple(sum_torsion))

@@ -231,10 +231,8 @@ def components_gset(X: BornCoarseSpace):
     """pi_0(X) as a G-set together with the block label of each point."""
     comps = X.components()
     label = X.coarse.block  # canonical labels number the components in order
-    act = tuple(
-        tuple(label[X.carrier.action[g][comp[0]]] for comp in comps)
-        for g in X.group.elements()
-    )
+    firsts = [comp[0] for comp in comps]
+    act = tuple(tuple(label[row[x]] for x in firsts) for row in X.carrier.action)
     return _trusted(GSet, X.group, len(comps), act), label
 
 

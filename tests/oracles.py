@@ -9,8 +9,11 @@ whole-group orbit scans (no canonical tuples, no stabilizers), a second
 construction of orbit-category colimits with its own verdict decisions,
 subgroup lattices by testing every subset for closure, cosets, double
 cosets and orbit-category hom-sets by scans over every group element,
-equivariance pair by pair, and the span layer's earlier predicates by
-quadratic pair sets.
+equivariance pair by pair, the span layer's earlier predicates by
+quadratic pair sets, fiber products and component G-sets by the
+package's earlier hashed-tuple and per-element bodies, split
+injectivity as one integer linear system for a retraction, and the
+dense identity and equality helpers.
 """
 
 import itertools
@@ -1049,3 +1052,102 @@ def oracle_is_admissible(sq):
     if not ok:
         raise InternalCheckError(f"admissible square with non-covering left edge: {diag}")
     return True, "admissible"
+
+
+# -- dense matrix helpers ------------------------------------------------------
+
+
+def mat_identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_eq(A, B):
+    return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
+
+
+# -- split injectivity by an explicit retraction -------------------------------
+
+
+def oracle_is_split_injective(hom):
+    """The package's earlier decision: exists beta with beta . alpha = id
+    on src, i.e. beta M = I + Rs Z and beta Rd = Rs Y for integer
+    multiplier matrices Z, Y.  Solved as one integer linear system in the
+    entries of beta, Z and Y (a*b + nrs*a + nrs*nrd unknowns)."""
+    from coarsehom.snf import solve_int
+
+    a, b = hom.src.ngens, hom.dst.ngens
+    rs = hom.src.relations
+    rd = hom.dst.relations
+    nrs, nrd = len(rs), len(rd)
+    nbeta = a * b
+    nZ = nrs * a
+    nY = nrs * nrd
+    rows = []
+    rhs = []
+    # beta M - Rs Z = I over (i, j) in a x a; Z is nrs x a
+    for i in range(a):
+        for j in range(a):
+            row = [0] * (nbeta + nZ + nY)
+            for k in range(b):
+                row[i * b + k] = hom.matrix[k][j]
+            for l in range(nrs):
+                row[nbeta + l * a + j] -= rs[l][i]
+            rows.append(row)
+            rhs.append(1 if i == j else 0)
+    # beta Rd - Rs Y = 0 over (i, c) in a x nrd; Y is nrs x nrd
+    for i in range(a):
+        for c in range(nrd):
+            row = [0] * (nbeta + nZ + nY)
+            for k in range(b):
+                row[i * b + k] = rd[c][k]
+            for l in range(nrs):
+                row[nbeta + nZ + l * nrd + c] -= rs[l][i]
+            rows.append(row)
+            rhs.append(0)
+    if not rows:
+        return True
+    return solve_int(rows, rhs, len(rows), nbeta + nZ + nY) is not None
+
+
+# -- G-set tables by hashed tuples and per-element rows ------------------------
+
+
+def oracle_fiber_product_gset(A, a, B, b):
+    """{(x, y) | a(x) = b(y)} in lexicographic order, each g.(x, y) found
+    by hashing the tuple (g.x, g.y)."""
+    from coarsehom.groups import GSet, _trusted
+
+    pts = [(x, y) for x in range(A.size) for y in range(B.size) if a[x] == b[y]]
+    index = {p: k for k, p in enumerate(pts)}
+    action = tuple(
+        tuple(index[(A.action[g][x], B.action[g][y])] for (x, y) in pts)
+        for g in A.group.elements()
+    )
+    return _trusted(GSet, A.group, len(pts), action), pts
+
+
+def oracle_components_gset(X):
+    """pi_0(X) with the action row of each g read per component."""
+    from coarsehom.groups import GSet, _trusted
+
+    comps = X.components()
+    label = X.coarse.block
+    act = tuple(
+        tuple(label[X.carrier.action[g][comp[0]]] for comp in comps)
+        for g in X.group.elements()
+    )
+    return _trusted(GSet, X.group, len(comps), act), label
+
+
+def composable_gfin_span_pairs(group):
+    """Test inputs: the pairs (s1, s2) that ``compose_gfin_spans`` takes
+    for res_K o tr_H (apex G/H x G/K, as in ``double_coset_check``) and
+    for tr_H o res_H (apex G/H), over every pair of subgroup class
+    representatives H, K."""
+    from coarsehom.groups import subgroup_class_representatives
+    from coarsehom.mackey import restriction_span, transfer_span
+
+    reps = subgroup_class_representatives(group)
+    pairs = [(restriction_span(group, K), transfer_span(group, H)) for H in reps for K in reps]
+    pairs += [(transfer_span(group, H), restriction_span(group, H)) for H in reps]
+    return pairs

@@ -3,6 +3,7 @@ from random import Random
 import pytest
 from oracles import (
     SUBGROUPS_PER_ORDER,
+    composable_gfin_span_pairs,
     is_closed_subset,
     is_lattice,
     oracle_is_equivariant,
@@ -32,6 +33,7 @@ from coarsehom.groups import (
     trivial_group,
     trivial_gset,
 )
+from coarsehom.mackey import compose_gfin_spans
 from coarsehom.randgen import GROUP_CATALOG, random_group, random_gset
 
 
@@ -229,11 +231,12 @@ def test_commutator_subgroups():
     assert commutator_subgroup(a4, frozenset(a4.elements())) == v4_in_a4
 
 
-def assert_transporter_table(X):
+def assert_transporter_table(X, twin=None):
     """``X.transporters[x]`` is exactly the action rows of the g with
     g.x = min(G.x), in element order, and reading it leaves equality and
-    hashing alone."""
-    twin = GSet(X.group, X.size, X.action)
+    hashing alone (against ``twin``, by default a validated copy)."""
+    if twin is None:
+        twin = GSet(X.group, X.size, X.action)
     for x in range(X.size):
         least = min(X.orbit(x))
         assert X.transporters[x] == tuple(
@@ -260,6 +263,15 @@ def test_transporters_on_random_and_derived_gsets():
         assert_transporter_table(a)
         assert_transporter_table(product_gset(a, b))
         assert_transporter_table(coset_gset(g, rng.choice(all_subgroups(g))))
+
+
+@pytest.mark.parametrize("name", ["S4", "A4", "A5"])
+def test_transporters_on_span_composition_apexes(name):
+    # the apexes are up to 3,600 points: the twin is a second composite
+    # rather than a validated copy, which costs |G|^2 per point
+    g = GROUP_PRESETS[name]()
+    for s1, s2 in composable_gfin_span_pairs(g):
+        assert_transporter_table(compose_gfin_spans(s1, s2).apex, compose_gfin_spans(s1, s2).apex)
 
 
 def random_equivariant_map(rng, src, dst):
