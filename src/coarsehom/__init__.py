@@ -1,6 +1,6 @@
 """Exact integer calculus of transfers for G-bornological coarse spaces.
 
-Layers: finite groups and G-sets (groups), entourage algebra and space
+Layers: finite groups and G-sets (groups), coarse spaces and their
 constructions (spaces, tape), bounded coverings and the span category
 of transfers (spans), chain-level equivariant coarse ordinary homology
 (homology, snf), and the finite-group Mackey layer with assembly maps

@@ -43,8 +43,11 @@ def _trusted(cls, *values):
 class Group:
     """A finite group given by a total multiplication table.
 
-    ``table[a][b]`` is the product a*b.  The identity index and the
-    inverse table are derived and checked on construction.
+    ``table[a][b]`` is the product a*b.  The identity index, the inverse
+    table and a generating set are derived and checked on construction.
+    Associativity is checked on the generators only (Light's test): the
+    b with (ab)c = a(bc) for all a and c contain the identity and are
+    closed under products, so they contain every product of generators.
     """
 
     table: tuple
@@ -75,11 +78,21 @@ class Group:
                 raise ValidationError(f"element {a} has no inverse")
         object.__setattr__(self, "_inv", tuple(inv))
         object.__setattr__(self, "_hash", hash(self.table))
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                        raise ValidationError(f"associativity fails at ({a},{b},{c})")
+        # greedy generators in element order: the closure under right
+        # multiplication by them is the whole table, associative or not
+        gens, reached = [], {ident}
+        for x in range(n):
+            if x not in reached:
+                gens.append(x)
+                reached = _generate(reached, gens, self.mul)
+        object.__setattr__(self, "_gens", tuple(gens))
+        for s in gens:
+            col = self.table[s]  # s*c for every c
+            for a, row in enumerate(self.table):
+                lhs, rhs = self.table[row[s]], tuple(map(row.__getitem__, col))
+                if lhs != rhs:
+                    c = next(c for c in range(n) if lhs[c] != rhs[c])
+                    raise ValidationError(f"associativity fails at ({a},{s},{c})")
 
     @property
     def order(self):
@@ -226,18 +239,16 @@ class GSet:
         e = G.identity
         if self.action[e] != tuple(range(self.size)):
             raise ValidationError("identity does not act trivially")
-        for g in G.elements():
-            for h in G.elements():
-                gh = G.mul(g, h)
-                for x in range(self.size):
-                    if self.action[g][self.action[h][x]] != self.action[gh][x]:
-                        raise ValidationError("action is not associative")
+        # g.(s.x) = (gs).x for the generators s gives it for every h by
+        # induction on the length of h as a product of generators
+        for s in G._gens:
+            act_s = self.action[s]
+            for g, act_g in enumerate(self.action):
+                if tuple(map(act_g.__getitem__, act_s)) != self.action[G.mul(g, s)]:
+                    raise ValidationError("action is not associative")
 
     def act(self, g, x):
         return self.action[g][x]
-
-    def points(self):
-        return range(self.size)
 
     def orbit(self, x):
         return frozenset(self.action[g][x] for g in self.group.elements())

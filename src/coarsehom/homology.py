@@ -471,18 +471,6 @@ def validate_chain_table(X: BornCoarseSpace, n, table):
     return [table.get(t, 0) for t in chain_basis(X, n)]
 
 
-def chain_table_from_vector(X: BornCoarseSpace, n, vec):
-    basis = chain_basis(X, n)
-    if len(vec) != len(basis):
-        raise ValidationError(f"chain vector has {len(vec)} entries for a basis of {len(basis)}")
-    table = {}
-    for rep, v in zip(basis, vec):
-        if v:
-            for row in X.carrier.action:
-                table[tuple(row[x] for x in rep)] = v
-    return table
-
-
 def pushforward_chain(f, W: BornCoarseSpace, Y: BornCoarseSpace, vec, n):
     """f_* on a chain vector (orbit bases); f must be controlled and
     proper so that the fiber sums are finite."""
@@ -508,132 +496,6 @@ def transfer_chain(w, W: BornCoarseSpace, X: BornCoarseSpace, vec, n):
     cxX = SpaceComplex(X, n)
     cols = pullback_chain_cols(w, W, X, cxW, cxX, n)
     return scols_apply(cols, vec, len(cxW.bases[n]))
-
-
-# -- lazy chains on tape carriers ---------------------------------------------
-
-
-@dataclass
-class TapeChain:
-    """A degree-n chain on a tape carrier: an evaluable function with a
-    controlled-support certificate (all support tuples are pairwise
-    within the band of the given radius and in one coarse component).
-    Equality is probed on finite windows; homology on tape carriers is
-    out of scope."""
-
-    space: object  # TapeSpace
-    degree: int
-    fn: object  # callable on (n+1)-tuples of (i, x) points
-    support_radius: int
-
-    def value(self, t):
-        return self.fn(t)
-
-    def window_tuples(self, window):
-        """Component-constrained tuples within the probe window that
-        respect the support certificate."""
-        from itertools import product
-
-        sp = self.space
-        pts = [(i, x) for i in range(window + 1) for x in range(sp.fiber.size)]
-        blk = sp.fiber.coarse.block
-        kind, _ = sp.components_symbolic()
-        out = []
-        for t in product(pts, repeat=self.degree + 1):
-            same_block = len({blk[x] for (_i, x) in t}) <= 1
-            if not same_block:
-                continue
-            if kind == "per_index" and len({i for (i, _x) in t}) > 1:
-                continue
-            if any(
-                abs(a[0] - b[0]) > self.support_radius for a in t for b in t
-            ):
-                continue
-            out.append(t)
-        return out
-
-    def window_equal(self, other, window=16):
-        if self.degree != other.degree or self.space != other.space:
-            return False
-        r = max(self.support_radius, other.support_radius)
-        probe = TapeChain(self.space, self.degree, self.fn, r)
-        for t in probe.window_tuples(window):
-            if self.fn(t) != other.fn(t):
-                return False
-        return True
-
-    def boundary(self):
-        """The alternating face sum, evaluated lazily; insertion points
-        range over the window allowed by the support certificate."""
-        sp = self.space
-        r = self.support_radius
-        blk = sp.fiber.coarse.block
-        kind, _ = sp.components_symbolic()
-
-        def bfn(t):
-            total = 0
-            i0 = t[0][0] if t else 0
-            candidates = [
-                (i, x)
-                for i in range(max(0, i0 - r), i0 + r + 1)
-                for x in range(sp.fiber.size)
-            ]
-            for pos in range(self.degree + 1):
-                for z in candidates:
-                    full = t[:pos] + (z,) + t[pos:]
-                    total += (1 if pos % 2 == 0 else -1) * self.fn(full)
-            return total
-
-        if self.degree == 0:
-            raise ValidationError("boundary of a degree-0 tape chain has degree -1")
-        return TapeChain(sp, self.degree - 1, bfn, r)
-
-
-def tape_transfer_chain(w, X: BornCoarseSpace, vec, n):
-    """w^* for a tape projection covering: pull a finite chain back to
-    the tape, cut by the characteristic function of component tuples."""
-    from .tape import TapeMap
-
-    if not isinstance(w, TapeMap) or w.kind != "project":
-        raise ValidationError("tape transfer needs a projection covering")
-    sp = w.src
-    table = chain_table_from_vector(X, n, vec)
-    blk = sp.fiber.coarse.block
-    kind, _ = sp.components_symbolic()
-
-    def fn(t):
-        if len({blk[x] for (_i, x) in t}) > 1:
-            return 0
-        if kind == "per_index" and len({i for (i, _x) in t}) > 1:
-            return 0
-        return table.get(tuple(w.fiber_images[x] for (_i, x) in t), 0)
-
-    return TapeChain(sp, n, fn, 0)
-
-
-def tape_pushforward_chain(s, c: TapeChain):
-    """s_* along a proper shift with bijective fiber map."""
-    from .tape import TapeMap, tape_map_predicates
-
-    if not isinstance(s, TapeMap) or s.kind != "shift":
-        raise ValidationError("tape pushforward supports shift maps")
-    _c, proper, _b = tape_map_predicates(s)
-    if not proper:
-        raise ValidationError("pushforward requires a proper map")
-    phi = s.fiber_images
-    if len(set(phi)) != len(phi):
-        raise ValidationError("fiber map must be bijective for pointwise pushforward")
-    inv = {v: k for k, v in enumerate(phi)}
-
-    def fn(t):
-        pre = []
-        for (i, x) in t:
-            if i < s.shift or x not in inv:
-                return 0
-            pre.append((i - s.shift, inv[x]))
-        return c.fn(tuple(pre))
-
-    return TapeChain(s.dst, c.degree, fn, c.support_radius)
 
 
 def hom_is_identity(h: AbHom):

@@ -33,8 +33,8 @@ from .groups import (
     trivial_gset,
 )
 from .snf import AbHom, FPAbGroup, direct_sum
-from .spaces import find_space_isomorphism, minimal_space
-from .spans import Span, make_span
+from .spaces import minimal_space
+from .spans import Span
 from .homology import (
     homology_map_from_chain_cols,
     pushforward_chain_cols,
@@ -61,11 +61,6 @@ class GFinSpan:
             raise ValidationError("right leg is not equivariant")
 
 
-def identity_gfin_span(S: GSet):
-    ident = tuple(range(S.size))
-    return GFinSpan(S, S, S, ident, ident)
-
-
 def compose_gfin_spans(s1: GFinSpan, s2: GFinSpan):
     """s2 after s1: apex the set-theoretic fiber product over the middle."""
     if s1.dst != s2.src:
@@ -75,18 +70,6 @@ def compose_gfin_spans(s1: GFinSpan, s2: GFinSpan):
     right = tuple(s2.right[q] for (p, q) in pts)
     # the legs factor through the fiber product's equivariant projections
     return _trusted(GFinSpan, s1.src, s2.dst, apex, left, right)
-
-
-def gfin_spans_equal(s1: GFinSpan, s2: GFinSpan):
-    if s1.src != s2.src or s1.dst != s2.dst:
-        raise ValidationError("span endpoints do not match")
-    A = minimal_space(s1.apex)
-    B = minimal_space(s2.apex)
-
-    def allowed(p, q):
-        return s1.left[p] == s2.left[q] and s1.right[p] == s2.right[q]
-
-    return find_space_isomorphism(A, B, allowed) is not None
 
 
 # -- generating spans --------------------------------------------------------
@@ -133,13 +116,6 @@ def coset_translation(group, L, H, g):
 def M(S: GSet):
     """S with the minimal coarse and bornological structures."""
     return minimal_space(S, name="M(S)")
-
-
-def M_span(s: GFinSpan):
-    """The transfer span of coarse spaces realizing a Burnside morphism;
-    both legs of a span of minimal spaces validate (the left is a bounded
-    covering, the right is proper and bornological)."""
-    return make_span(M(s.src), M(s.apex), M(s.dst), s.left, s.right)
 
 
 def EM_object(S: GSet, maxdeg=3):
@@ -256,16 +232,7 @@ def burnside_marks(S: GSet):
     return tuple(len(S.fixed_points(H)) for H in reps)
 
 
-# -- classifying table and assembly ------------------------------------------
-
-
-def classifying_table(group, family: SubgroupFamily):
-    """For each orbit type G/H: 'point' iff H lies in the family (the
-    value of the classifying object of the family on that orbit)."""
-    out = []
-    for H in subgroup_class_representatives(group):
-        out.append(("G/" + subgroup_label(group, H), "point" if H in family else "empty"))
-    return out
+# -- assembly ----------------------------------------------------------------
 
 
 def subgroup_label(group, H):

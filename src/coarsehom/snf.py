@@ -26,17 +26,13 @@ from .errors import InternalCheckError, ValidationError
 # -- dense matrix helpers ----------------------------------------------------
 
 
-def mat_zero(m, n):
-    return [[0] * n for _ in range(m)]
-
-
 def mat_mul(A, B):
     m = len(A)
     k = len(B)
     n = len(B[0]) if k else 0
     if any(len(row) != k for row in A):
         raise ValidationError("matrix dimensions do not match")
-    out = mat_zero(m, n)
+    out = [[0] * n for _ in range(m)]
     for i in range(m):
         Ai = A[i]
         Oi = out[i]
@@ -456,9 +452,6 @@ class FPAbGroup:
     def invariants(self):
         """(rank, torsion coefficients in divisibility order)."""
         return (self.rank, tuple(self.torsion))
-
-    def isomorphic(self, other):
-        return self.invariants() == other.invariants()
 
     def canonical_generators(self):
         """Original-coordinate vectors projecting to canonical generators

@@ -1,4 +1,4 @@
-"""Entourage algebra and G-bornological coarse spaces over finite carriers.
+"""G-bornological coarse spaces over finite carriers.
 
 A coarse structure on a finite carrier is an ideal of subsets of W x W
 closed under subsets, unions, inverses and composition, containing the
@@ -9,12 +9,12 @@ the carrier and is closed under finite unions), so properness and
 bornologicity are trivially true for maps between finite spaces; the
 predicates still run uniformly.
 
-Entourages are plain frozensets of index pairs; operations take the
-carrier size explicitly so that mismatches are detectable.  Predicates
-(controlledness, the covering conditions, isomorphism of spaces) read
-the block labels instead, in O(|G| n) for a carrier of n points, and the
-constructors build block labels; pair sets are built only where a user
-hands one in (``make_space`` generators, ``contains``).
+Entourages are plain frozensets of index pairs, checked against the
+carrier size; they appear only where a user hands one in (``make_space``
+generators, ``contains``).  Predicates (controlledness, the covering
+conditions, isomorphism of spaces) read the block labels instead, in
+O(|G| n) for a carrier of n points, and the constructors build block
+labels.
 
 ``BornCoarseSpace(...)`` validates its arguments; spaces built here from
 validated G-sets and checked generators or block labels are valid by
@@ -37,43 +37,10 @@ from .groups import (
 )
 
 
-def _check_pairs(U, size, what="entourage"):
+def _check_pairs(U, size):
     for a, b in U:
         if not (0 <= a < size and 0 <= b < size):
-            raise ValidationError(f"{what}: pair ({a},{b}) outside carrier of size {size}")
-
-
-def thicken(U, A, size):
-    """U[A] = {w | exists a in A with (w, a) in U}."""
-    _check_pairs(U, size)
-    for a in A:
-        if not (0 <= a < size):
-            raise ValidationError("subset outside carrier")
-    A = set(A)
-    return frozenset(w for (w, a) in U if a in A)
-
-
-def compose_entourages(U, V, size):
-    """U o V = {(x, z) | exists y with (x, y) in U and (y, z) in V}."""
-    _check_pairs(U, size)
-    _check_pairs(V, size)
-    by_mid = {}
-    for (y, z) in V:
-        by_mid.setdefault(y, []).append(z)
-    out = set()
-    for (x, y) in U:
-        for z in by_mid.get(y, ()):
-            out.add((x, z))
-    return frozenset(out)
-
-
-def invert_entourage(U, size):
-    _check_pairs(U, size)
-    return frozenset((b, a) for (a, b) in U)
-
-
-def diagonal(size):
-    return frozenset((x, x) for x in range(size))
+            raise ValidationError(f"entourage: pair ({a},{b}) outside carrier of size {size}")
 
 
 def is_invariant_entourage(U, gset: GSet):
@@ -222,11 +189,6 @@ def empty_space(group):
     return minimal_space(trivial_gset(group, 0), name="empty")
 
 
-def space_with_entourage(X: BornCoarseSpace, U, name=""):
-    """X_U: same carrier, structure generated by the single entourage U."""
-    return make_space(X.carrier, (frozenset(U),), name=name or f"{X.name}_U")
-
-
 def components_gset(X: BornCoarseSpace):
     """pi_0(X) as a G-set together with the block label of each point."""
     comps = X.components()
@@ -241,10 +203,6 @@ def coarse_closure(X: BornCoarseSpace, A):
     A = set(A)
     blocks = {X.coarse.block[a] for a in A}
     return frozenset(x for x in range(X.size) if X.coarse.block[x] in blocks)
-
-
-def coarsely_disjoint(X, A, B):
-    return not (coarse_closure(X, A) & coarse_closure(X, B))
 
 
 def is_equivariant_partition(parts, gset: GSet):

@@ -29,7 +29,6 @@ from .spaces import (
     bounded_union,
     compose_maps,
     coproduct,
-    empty_space,
     find_space_isomorphism,
     identity_map,
     map_predicates,
@@ -156,12 +155,6 @@ def identity_span(X):
         return Span(X, X, X, ident, ident)
     ident = identity_map(X)
     return Span(X, X, X, ident, ident)
-
-
-def empty_morphism(X, Y):
-    """The zero morphism: the span with empty apex."""
-    E = empty_space(X.group)
-    return Span(X, E, Y, (), ())
 
 
 def embed(f, X, Y):
@@ -410,32 +403,3 @@ def spans_isomorphic(s1: Span, s2: Span):
         return s1.left[p] == s2.left[q] and s1.right[p] == s2.right[q]
 
     return find_space_isomorphism(s1.apex, s2.apex, allowed) is not None
-
-
-@dataclass(frozen=True)
-class HoMorphism:
-    """An isomorphism class of spans, held by a canonical representative."""
-
-    rep: Span
-
-    @property
-    def src(self):
-        return self.rep.src
-
-    @property
-    def dst(self):
-        return self.rep.dst
-
-    def __eq__(self, other):
-        return isinstance(other, HoMorphism) and spans_isomorphic(self.rep, other.rep)
-
-    def __hash__(self):
-        ap = self.rep.apex
-        size = ap.fiber.size if isinstance(ap, TapeSpace) else ap.size
-        return hash((id(type(self)), size))
-
-    def then(self, other):
-        return HoMorphism(compose(self.rep, other.rep))
-
-    def __add__(self, other):
-        return HoMorphism(hom_monoid_add(self.rep, other.rep))

@@ -5,9 +5,8 @@ The group acts on the finite fiber only.  Coarse presets on the N
 direction are "discrete" (diagonal) and "band" (all |i-j| <= r);
 bornology presets are "finite_window" (bounded iff the N-image is
 finite) and "all".  Entourages are symbolic: a band part (radius,
-fiber relation) plus a finite exception set, so membership is O(1)
-and composition stays in the class.  Arbitrary symbolic entourages
-outside this class are rejected.
+fiber relation) plus a finite exception set, so membership is O(1).
+Arbitrary symbolic entourages outside this class are rejected.
 """
 
 from __future__ import annotations
@@ -36,58 +35,6 @@ class TapeEntourage:
         if (self.radius is INF or abs(i - j) <= self.radius) and (x, y) in self.fiber_rel:
             return True
         return (p, q) in self.extra
-
-    def inverse(self):
-        return TapeEntourage(
-            self.radius,
-            frozenset((y, x) for (x, y) in self.fiber_rel),
-            frozenset((q, p) for (p, q) in self.extra),
-        )
-
-    def compose(self, other):
-        """self o other = {(p, r) | exists q: (p, q) in self, (q, r) in other}.
-
-        Exact on the half-line: for the band parts, a middle index j with
-        |i-j| <= r and |j-k| <= s exists in N iff |i-k| <= r+s (j can be
-        chosen between i and k), so bands compose to the summed radius.
-        Cross terms of an extra pair against an infinite band leave the
-        class and are rejected.
-        """
-        if self.radius is INF or other.radius is INF:
-            radius = INF
-        else:
-            radius = self.radius + other.radius
-        mid = {}
-        for (y, z) in other.fiber_rel:
-            mid.setdefault(y, []).append(z)
-        rel = set()
-        for (x, y) in self.fiber_rel:
-            for z in mid.get(y, ()):
-                rel.add((x, z))
-        extra = set()
-        for (p, q) in self.extra:
-            for (q2, r) in other.extra:
-                if q == q2:
-                    extra.add((p, r))
-        for (p, (j, y)) in self.extra:
-            if other.radius is INF:
-                if any(y1 == y for (y1, _z) in other.fiber_rel):
-                    raise OutOfScopeError("composition leaves the symbolic entourage class")
-                continue
-            for k in range(max(0, j - other.radius), j + other.radius + 1):
-                for (y1, z) in other.fiber_rel:
-                    if y1 == y:
-                        extra.add((p, (k, z)))
-        for ((j, y), r) in other.extra:
-            if self.radius is INF:
-                if any(y1 == y for (_x, y1) in self.fiber_rel):
-                    raise OutOfScopeError("composition leaves the symbolic entourage class")
-                continue
-            for i in range(max(0, j - self.radius), j + self.radius + 1):
-                for (x, y1) in self.fiber_rel:
-                    if y1 == y:
-                        extra.add(((i, x), r))
-        return TapeEntourage(radius, frozenset(rel), frozenset(extra))
 
 
 def band(radius, fiber_rel):

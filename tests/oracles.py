@@ -12,8 +12,9 @@ cosets and orbit-category hom-sets by scans over every group element,
 equivariance pair by pair, the span layer's earlier predicates by
 quadratic pair sets, fiber products and component G-sets by the
 package's earlier hashed-tuple and per-element bodies, split
-injectivity as one integer linear system for a retraction, and the
-dense identity and equality helpers.
+injectivity as one integer linear system for a retraction, the dense
+identity and equality helpers, the unit and equality of Burnside
+spans, and associativity and the action law checked on every triple.
 """
 
 import itertools
@@ -1151,3 +1152,54 @@ def composable_gfin_span_pairs(group):
     pairs = [(restriction_span(group, K), transfer_span(group, H)) for H in reps for K in reps]
     pairs += [(transfer_span(group, H), restriction_span(group, H)) for H in reps]
     return pairs
+
+
+def identity_gfin_span(S):
+    """The identity morphism of S in the effective Burnside category."""
+    from coarsehom.mackey import GFinSpan
+
+    ident = tuple(range(S.size))
+    return GFinSpan(S, S, S, ident, ident)
+
+
+def gfin_spans_equal(s1, s2):
+    """Equality of Burnside morphisms: an equivariant apex bijection
+    commuting with both legs, found by the oracle isomorphism search on
+    the minimal spaces of the apexes."""
+    from coarsehom.spaces import minimal_space
+
+    assert s1.src == s2.src and s1.dst == s2.dst, "span endpoints do not match"
+
+    def allowed(p, q):
+        return s1.left[p] == s2.left[q] and s1.right[p] == s2.right[q]
+
+    iso = oracle_find_space_isomorphism(minimal_space(s1.apex), minimal_space(s2.apex), allowed)
+    return iso is not None
+
+
+def oracle_is_associative(table):
+    """(ab)c = a(bc) on every triple of a multiplication table."""
+    n = len(table)
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def oracle_is_action(group, size, action):
+    """g.(h.x) = (gh).x for every pair of elements and every point, with
+    rows of the right shape and the identity acting trivially."""
+    if len(action) != group.order or any(
+        len(row) != size or any(not (0 <= x < size) for x in row) for row in action
+    ):
+        return False
+    if tuple(action[group.identity]) != tuple(range(size)):
+        return False
+    return all(
+        action[g][action[h][x]] == action[group.mul(g, h)][x]
+        for g in group.elements()
+        for h in group.elements()
+        for x in range(size)
+    )

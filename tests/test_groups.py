@@ -6,6 +6,8 @@ from oracles import (
     composable_gfin_span_pairs,
     is_closed_subset,
     is_lattice,
+    oracle_is_action,
+    oracle_is_associative,
     oracle_is_equivariant,
     oracle_subgroups,
 )
@@ -42,6 +44,75 @@ def test_group_table_validation():
         Group(((0, 0), (0, 0)))  # no identity
     with pytest.raises(ValidationError):
         Group(((0, 1), (1, 1)))  # 1 has no inverse / not associative
+
+
+# a Latin square with a two-sided identity (0) and inverses that is not
+# a group: (1*1)*2 = 0*2 = 2 but 1*(1*2) = 1*3 = 4
+LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+ALL_GROUPS = [pytest.param(make, id=name) for name, make in GROUP_PRESETS.items()] + [
+    pytest.param(make, id=f"catalog{i}") for i, make in enumerate(GROUP_CATALOG)
+]
+
+
+@pytest.mark.parametrize("make", ALL_GROUPS)
+def test_generator_checks_accept_every_group_and_its_gsets(make):
+    g = make()  # every preset is built through the validating Group(...)
+    assert oracle_is_associative(g.table)
+    rng = Random(f"gset-{g.name}")
+    for _ in range(6):
+        S = random_gset(rng, g, 12)
+        assert oracle_is_action(g, S.size, S.action)
+        GSet(g, S.size, S.action)
+
+
+@pytest.mark.parametrize("make", [p for p in ALL_GROUPS if p.values[0]().order > 1])
+def test_generator_checks_reject_a_corrupted_action(make):
+    # one entry changed in a row other than the identity's
+    g = make()
+    rng = Random(f"corrupt-{g.name}")
+    tried = 0
+    while tried < 6:
+        S = random_gset(rng, g, 12)
+        if S.size < 2:
+            continue
+        rows = [list(row) for row in S.action]
+        h = rng.choice([x for x in g.elements() if x != g.identity])
+        x = rng.randrange(S.size)
+        rows[h][x] = rng.choice([y for y in range(S.size) if y != rows[h][x]])
+        action = tuple(map(tuple, rows))
+        assert not oracle_is_action(g, S.size, action)
+        with pytest.raises(ValidationError, match="not associative"):
+            GSet(g, S.size, action)
+        tried += 1
+
+
+def test_generator_checks_reject_a_nonassociative_loop():
+    n = len(LOOP5)
+    assert all(LOOP5[0][x] == x == LOOP5[x][0] for x in range(n))
+    assert all(any(LOOP5[a][b] == 0 == LOOP5[b][a] for b in range(n)) for a in range(n))
+    assert not oracle_is_associative(LOOP5)
+    with pytest.raises(ValidationError, match="associativity fails"):
+        Group(LOOP5)
+
+
+def test_generator_checks_read_every_generator():
+    # C2 x LOOP5 with (x, q) at index 2q + x: the first generator, (1, 0),
+    # associates with everything, so only a later generator shows the failure
+    c2 = ((0, 1), (1, 0))
+    table = tuple(
+        tuple(2 * LOOP5[i // 2][j // 2] + c2[i % 2][j % 2] for j in range(10)) for i in range(10)
+    )
+    assert not oracle_is_associative(table)
+    with pytest.raises(ValidationError, match="associativity fails"):
+        Group(table)
+    # V4 (generators 1, 2) on three points: rows id, (01), (12) and
+    # (12)(01) obey the law for 1 but not for 2, as (01)(12) != (12)(01)
+    v4 = Group(tuple(tuple(a ^ b for b in range(4)) for a in range(4)))
+    action = ((0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 0, 1))
+    assert not oracle_is_action(v4, 3, action)
+    with pytest.raises(ValidationError, match="not associative"):
+        GSet(v4, 3, action)
 
 
 def test_identity_and_inverses():
@@ -110,7 +181,9 @@ def test_separating_family_examples(c2):
 def test_solvable_family_of_a5_is_separating():
     a5 = alternating_group(5)
     sol = family_solvable(a5)
+    assert len(all_subgroups(a5)) == 59
     assert len(sol.members) == 58  # everything except A5 itself
+    assert frozenset(a5.elements()) not in sol.members
     assert is_separating(a5, sol)
 
 
@@ -231,12 +304,11 @@ def test_commutator_subgroups():
     assert commutator_subgroup(a4, frozenset(a4.elements())) == v4_in_a4
 
 
-def assert_transporter_table(X, twin=None):
+def assert_transporter_table(X):
     """``X.transporters[x]`` is exactly the action rows of the g with
     g.x = min(G.x), in element order, and reading it leaves equality and
-    hashing alone (against ``twin``, by default a validated copy)."""
-    if twin is None:
-        twin = GSet(X.group, X.size, X.action)
+    hashing alone (against a validated copy)."""
+    twin = GSet(X.group, X.size, X.action)
     for x in range(X.size):
         least = min(X.orbit(x))
         assert X.transporters[x] == tuple(
@@ -267,11 +339,9 @@ def test_transporters_on_random_and_derived_gsets():
 
 @pytest.mark.parametrize("name", ["S4", "A4", "A5"])
 def test_transporters_on_span_composition_apexes(name):
-    # the apexes are up to 3,600 points: the twin is a second composite
-    # rather than a validated copy, which costs |G|^2 per point
     g = GROUP_PRESETS[name]()
     for s1, s2 in composable_gfin_span_pairs(g):
-        assert_transporter_table(compose_gfin_spans(s1, s2).apex, compose_gfin_spans(s1, s2).apex)
+        assert_transporter_table(compose_gfin_spans(s1, s2).apex)
 
 
 def random_equivariant_map(rng, src, dst):

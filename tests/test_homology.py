@@ -7,7 +7,6 @@ from coarsehom.groups import GSet, trivial_gset
 from coarsehom.homology import (
     SpaceComplex,
     chain_basis,
-    chain_table_from_vector,
     homology,
     hom_is_identity,
     hom_is_multiplication_by,
@@ -165,9 +164,6 @@ def test_chain_vectors_from_outside_are_checked(free2_min):
             pushforward_chain((0, 1), X, X, bad, 0)
         with pytest.raises(ValidationError, match="chain vector has"):
             transfer_chain((0, 1), X, X, bad, 0)
-        with pytest.raises(ValidationError, match="chain vector has"):
-            chain_table_from_vector(X, 0, bad)
-    assert chain_table_from_vector(X, 0, [3]) == {(0,): 3, (1,): 3}
     for t in ((5,), (-1,), ("a",)):
         with pytest.raises(ValidationError, match="outside the carrier"):
             validate_chain_table(X, 0, {t: 1})

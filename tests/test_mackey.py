@@ -1,7 +1,7 @@
 import pytest
 from random import Random
 
-from oracles import brute_force_homology, oracle_assembly_verdicts
+from oracles import brute_force_homology, gfin_spans_equal, identity_gfin_span, oracle_assembly_verdicts
 from coarsehom.groups import (
     GROUP_PRESETS,
     GSet,
@@ -10,7 +10,6 @@ from coarsehom.groups import (
     cyclic_group,
     disjoint_union_gsets,
     family_all,
-    family_solvable,
     family_trivial,
     product_gset,
     subgroup_class_representatives,
@@ -24,21 +23,17 @@ from coarsehom.mackey import (
     EM_object,
     GFinSpan,
     M,
-    M_span,
     assembly,
     burnside_marks,
-    classifying_table,
     compose_gfin_spans,
     double_coset_check,
-    gfin_spans_equal,
     hom_equal,
     hom_sum,
-    identity_gfin_span,
     restriction_span,
     transfer_span,
 )
 from coarsehom.randgen import FuzzConfig, random_gfin_span, random_gset, random_group
-from coarsehom.spans import is_admissible, AdmissibleSquareCandidate, pullback
+from coarsehom.spans import is_admissible, AdmissibleSquareCandidate, make_span, pullback
 from coarsehom.spaces import spaces_isomorphic, tensor, coproduct, minimal_space
 
 CFG = FuzzConfig(max_points=6)
@@ -96,8 +91,12 @@ def test_m_preserves_coproducts_and_products(c2):
 def test_m_span_validates_and_pullbacks_are_admissible(c2):
     tr = transfer_span(c2, frozenset([0]))
     res = restriction_span(c2, frozenset([0]))
-    M_span(tr)
-    M_span(res)
+    # every equivariant map of minimal spaces is a bounded covering, so a
+    # Burnside span validates read either way; EMContext.em_morphism
+    # builds the reversed span unvalidated
+    for s in (tr, res):
+        make_span(M(s.src), M(s.apex), M(s.dst), s.left, s.right)
+        make_span(M(s.dst), M(s.apex), M(s.src), s.right, s.left)
     # coarse realization of the double-coset fiber product: both legs are
     # the projection C2/e -> pt, and the pullback square is admissible
     free = coset_gset(c2, frozenset([0]))
@@ -236,22 +235,6 @@ def test_marks_additive_under_disjoint_union(c2):
     assert burnside_marks(AB) == tuple(
         a + b for a, b in zip(burnside_marks(A), burnside_marks(B))
     )
-
-
-def test_classifying_table(c2):
-    all_pts = classifying_table(c2, family_all(c2))
-    assert all(v == "point" for _k, v in all_pts)
-    triv_fam = classifying_table(c2, family_trivial(c2))
-    assert triv_fam[0][1] == "point" and triv_fam[1][1] == "empty"
-
-
-def test_classifying_table_a5_solvable():
-    from coarsehom.groups import alternating_group
-
-    a5 = alternating_group(5)
-    tbl = classifying_table(a5, family_solvable(a5))
-    assert [v for _k, v in tbl].count("empty") == 1
-    assert tbl[-1][1] == "empty"  # only the full group falls outside
 
 
 def test_assembly_full_family_is_iso(c2, s3):

@@ -1,6 +1,4 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from coarsehom.errors import ValidationError
 from coarsehom.groups import GSet, cyclic_group, trivial_group, trivial_gset
@@ -9,14 +7,10 @@ from coarsehom.spaces import (
     CoarseStructure,
     bounded_union,
     coarse_closure,
-    coarsely_disjoint,
-    compose_entourages,
     coproduct,
-    diagonal,
     free_union_copies,
     generate_structure,
     induced_structure,
-    invert_entourage,
     make_space,
     map_predicates,
     maximal_space,
@@ -25,46 +19,7 @@ from coarsehom.spaces import (
     restrict_by_partition,
     spaces_isomorphic,
     tensor,
-    thicken,
 )
-
-pairs = st.tuples(st.integers(0, 4), st.integers(0, 4))
-entourages = st.frozensets(pairs, max_size=8)
-subsets = st.frozensets(st.integers(0, 4), max_size=5)
-
-
-def test_thicken_examples():
-    assert thicken(frozenset({(0, 1)}), {1}, 2) == frozenset({0})
-    assert thicken(diagonal(3), {0, 2}, 3) == frozenset({0, 2})
-    band = frozenset({(i, j) for i in range(3) for j in range(3) if abs(i - j) <= 1})
-    assert thicken(band, {1}, 3) == frozenset({0, 1, 2})
-
-
-def test_thicken_carrier_mismatch():
-    with pytest.raises(ValidationError):
-        thicken(frozenset({(0, 5)}), {0}, 3)
-
-
-@settings(max_examples=60, deadline=None)
-@given(entourages, subsets, subsets)
-def test_thicken_monotone(U, A, B):
-    big = thicken(U, A | B, 5)
-    assert thicken(U, A, 5) <= big
-    assert thicken(U, B, 5) <= big
-
-
-@settings(max_examples=60, deadline=None)
-@given(entourages, entourages, subsets)
-def test_thicken_compose(U, V, A):
-    lhs = thicken(compose_entourages(U, V, 5), A, 5)
-    rhs = thicken(U, thicken(V, A, 5), 5)
-    assert lhs == rhs
-
-
-def test_entourage_algebra():
-    U = frozenset({(0, 1), (1, 2)})
-    assert compose_entourages(U, diagonal(3), 3) == U
-    assert invert_entourage(frozenset({(0, 1)}), 2) == frozenset({(1, 0)})
 
 
 def test_generate_structure_examples(triv):
@@ -79,6 +34,8 @@ def test_generate_structure_examples(triv):
     # membership: an entourage lies in the structure iff inside the closure
     assert one.contains(frozenset({(1, 0)}))
     assert not one.contains(frozenset({(0, 2)}))
+    with pytest.raises(ValidationError):
+        one.contains(frozenset({(0, 5)}))  # a pair off the carrier
 
 
 def test_generate_structure_rejects_noninvariant(c2):
@@ -103,10 +60,11 @@ def test_coarse_closure_idempotent_extensive(chain3):
 
 
 def test_coarsely_disjoint(triv):
+    # A and B are coarsely disjoint iff their coarse closures are disjoint
     gs = trivial_gset(triv, 4)
     X = make_space(gs, [frozenset({(0, 1), (1, 0)})])
-    assert coarsely_disjoint(X, {0}, {2})
-    assert not coarsely_disjoint(X, {0}, {1})
+    assert not coarse_closure(X, {0}) & coarse_closure(X, {2})
+    assert coarse_closure(X, {0}) & coarse_closure(X, {1})
 
 
 def test_restrict_by_partition(triv):
@@ -238,14 +196,7 @@ def test_components_form_a_gset(c2):
 
 
 def test_space_with_single_entourage(triv, chain3):
-    from coarsehom.spaces import space_with_entourage
-
+    # X_U: the carrier of X with the structure generated by U alone
     U = frozenset({(0, 1), (1, 0)})
-    XU = space_with_entourage(chain3, U)
+    XU = make_space(chain3.carrier, [U])
     assert XU.coarse.components() == [(0, 1), (2,)]
-
-
-@settings(max_examples=40, deadline=None)
-@given(entourages, entourages, subsets)
-def test_thicken_monotone_in_entourage(U, V, A):
-    assert thicken(U, A, 5) <= thicken(U | V, A, 5)

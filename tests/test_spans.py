@@ -10,6 +10,7 @@ from coarsehom.spaces import (
     bounded_union,
     compose_maps,
     coproduct,
+    empty_space,
     identity_map,
     make_space,
     maximal_space,
@@ -24,7 +25,6 @@ from coarsehom.spans import (
     component_projection,
     compose,
     embed,
-    empty_morphism,
     fold_morphism,
     hom_monoid_add,
     identity_span,
@@ -292,7 +292,7 @@ def test_hom_monoid_laws(triv, three_min):
         # commutativity
         assert spans_isomorphic(hom_monoid_add(s1, s2), hom_monoid_add(s2, s1))
         # unit
-        zero = empty_morphism(three_min, s1.dst)
+        zero = Span(three_min, empty_space(three_min.group), s1.dst, (), ())
         assert spans_isomorphic(hom_monoid_add(s1, zero), s1)
 
 
@@ -391,17 +391,15 @@ def test_composition_associativity_fuzz():
         count += 1
 
 
-def test_ho_morphism_wrapper(triv, three_min):
-    from coarsehom.spans import HoMorphism
-
+def test_component_inclusions_sum_to_the_transfer(triv, three_min):
     I = trivial_gset(triv, 2)
-    tr = HoMorphism(transfer_I(three_min, I))
-    j0 = HoMorphism(component_inclusion(three_min, I, 0))
-    j1 = HoMorphism(component_inclusion(three_min, I, 1))
-    assert j0 + j1 == tr
-    p0 = HoMorphism(component_projection(three_min, I, 0))
-    assert j0.then(p0) == HoMorphism(identity_span(three_min))
-    assert not (j0 == j1)
+    tr = transfer_I(three_min, I)
+    j0 = component_inclusion(three_min, I, 0)
+    j1 = component_inclusion(three_min, I, 1)
+    assert spans_isomorphic(hom_monoid_add(j0, j1), tr)
+    p0 = component_projection(three_min, I, 0)
+    assert spans_isomorphic(compose(j0, p0), identity_span(three_min))
+    assert not spans_isomorphic(j0, j1)
 
 
 def test_transfer_decomposition_with_nontrivial_action(c2):
@@ -439,7 +437,7 @@ def test_compose_rejects_endpoint_mismatch(triv, three_min, pt):
 
 
 def test_zero_morphism_absorbs_composition(triv, three_min, pt):
-    zero = empty_morphism(three_min, pt)
+    zero = Span(three_min, empty_space(triv), pt, (), ())
     s = embed((0, 0, 0), three_min, pt)
     left = compose(zero, identity_span(pt))
     assert left.apex.size == 0
