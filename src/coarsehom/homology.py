@@ -23,9 +23,10 @@ A complex depends only on its carrier and block labels (space equality
 ignores names and generators), and it memoizes its boundaries and
 homology data, so callers that read maps between the same spaces share
 complexes through ``space_complex``, a small module-level LRU cache.
-Two builders stay out of it: ``homology``, which reads only invariants
-and drops its complex, and excision's relative complexes, whose
-``exclude`` predicate is not a key.
+Every complex is the full complex of a space; excision reads the
+complement of its coarsely closed member as a subspace.  Only
+``homology``, which reads invariants and drops its complex, stays out
+of the cache.
 """
 
 from __future__ import annotations
@@ -63,20 +64,21 @@ def canonical_tuple(X: BornCoarseSpace, t):
 
 
 def chain_basis(X: BornCoarseSpace, n):
-    """Canonical tuples of the G-orbits of component-constrained
-    (n+1)-tuples, sorted.  Each orbit meets the tuples (m, t1..tn) with m
-    the least point of a carrier orbit and every ti in m's component."""
+    """The G-orbits of component-constrained (n+1)-tuples: a dict from
+    each orbit's canonical tuple to its stabilizer order, in sorted
+    order.  Each orbit meets the tuples (m, t1..tn) with m the least
+    point of a carrier orbit and every ti in m's component."""
     _require_finite(X, "chain_basis")
     comps = X.components()
     transporters = X.carrier.transporters
-    reps = set()
+    reps = {}
     for m in (orbit[0] for orbit in X.carrier.orbits()):
         tuples = ((m,) + rest for rest in itertools.product(comps[X.coarse.block[m]], repeat=n))
         if len(transporters[m]) == 1:  # Stab(m) = 1: each tuple is its own least form
-            reps.update(tuples)
+            reps.update(dict.fromkeys(tuples, 1))
         else:
-            reps.update(canonical_tuple(X, t)[0] for t in tuples)
-    return sorted(reps)
+            reps.update(canonical_tuple(X, t) for t in tuples)
+    return dict(sorted(reps.items()))
 
 
 # -- sparse column helpers ---------------------------------------------------
@@ -119,11 +121,12 @@ def scols_apply(cols, vec, nrows):
 
 
 class SpaceComplex:
-    """Bases and boundaries of the invariant controlled chain complex in
-    degrees 0..maxdeg+1; ``exclude`` drops basis orbits (used for the
-    relative complexes of excision)."""
+    """Bases and boundaries of the invariant controlled chain complex of
+    X in degrees 0..maxdeg+1.  Per degree n: ``bases[n]`` lists the
+    canonical tuples of the basis orbits, ``index[n]`` numbers them and
+    ``stabs[n]`` holds their stabilizer orders."""
 
-    def __init__(self, X: BornCoarseSpace, maxdeg, exclude=None):
+    def __init__(self, X: BornCoarseSpace, maxdeg):
         _require_finite(X, "chain complexes")
         if maxdeg < 0:
             raise ValidationError(f"chain complexes need a degree >= 0, got {maxdeg}")
@@ -131,12 +134,12 @@ class SpaceComplex:
         self.N = maxdeg
         self.bases = []
         self.index = []
+        self.stabs = []
         for n in range(maxdeg + 2):
             basis = chain_basis(X, n)
-            if exclude is not None:
-                basis = [t for t in basis if not exclude(t)]
-            self.bases.append(basis)
+            self.bases.append(list(basis))
             self.index.append({t: i for i, t in enumerate(basis)})
+            self.stabs.append(list(basis.values()))
         # slice = G-orbit of coarse components, read off the first entry
         comps, comp_of = components_gset(X)
         orbits = comps.orbits()
@@ -155,23 +158,20 @@ class SpaceComplex:
         if n == 0 or n > self.N + 1:
             raise ValidationError("boundary degree out of range")
         cols = []
-        lower = self.index[n - 1]
+        lower, lower_stabs = self.index[n - 1], self.stabs[n - 1]
         transporters = self.X.carrier.transporters
-        for rep in self.bases[n]:
+        for rep, stab in zip(self.bases[n], self.stabs[n]):
             if len(transporters[rep[0]]) == 1:
-                # rep[0] is a free point, least in its orbit: Stab(rep) = 1,
-                # and every face that keeps rep[0] is canonical with Stab 1
-                stab = 1
-                faces = [canonical_tuple(self.X, rep[1:])]
-                faces += [(rep[:i] + rep[i + 1 :], 1) for i in range(1, n + 1)]
+                # rep[0] is a free point, least in its orbit: every face
+                # that keeps rep[0] is canonical
+                faces = [canonical_tuple(self.X, rep[1:])[0]]
+                faces += [rep[:i] + rep[i + 1 :] for i in range(1, n + 1)]
             else:
-                stab = canonical_tuple(self.X, rep)[1]
-                faces = [canonical_tuple(self.X, rep[:i] + rep[i + 1 :]) for i in range(n + 1)]
+                faces = [canonical_tuple(self.X, rep[:i] + rep[i + 1 :])[0] for i in range(n + 1)]
             col = {}
-            for i, (face, face_stab) in enumerate(faces):
-                idx = lower.get(face)
-                if idx is not None:
-                    col[idx] = col.get(idx, 0) + (-1) ** i * (face_stab // stab)
+            for i, face in enumerate(faces):
+                idx = lower[face]
+                col[idx] = col.get(idx, 0) + (-1) ** i * (lower_stabs[idx] // stab)
             cols.append({i: v for i, v in col.items() if v})
         self._boundaries[n] = cols
         return cols
@@ -387,21 +387,19 @@ def pullback_chain_cols(w, W: BornCoarseSpace, X: BornCoarseSpace, cxW, cxX, n):
     X-basis).  The pullback is cut by the characteristic function of
     component-constrained tuples, identically 1 on basis orbits."""
     cols = [dict() for _ in cxX.bases[n]]
+    index = cxX.index[n]
     for row, repW in enumerate(cxW.bases[n]):
-        img = canonical_tuple(X, tuple(w[x] for x in repW))[0]
-        j = cxX.index[n].get(img)
-        if j is not None:
-            cols[j][row] = 1
+        cols[index[canonical_tuple(X, tuple(w[x] for x in repW))[0]]][row] = 1
     return cols
 
 
 def pushforward_chain_cols(f, W: BornCoarseSpace, Y: BornCoarseSpace, cxW, cxY, n):
     """f_*: C_n(W) -> C_n(Y) for a controlled proper map: fiber sums."""
     cols = []
-    for repW in cxW.bases[n]:
-        img, img_stab = canonical_tuple(Y, tuple(f[x] for x in repW))
-        idx = cxY.index[n].get(img)
-        cols.append({} if idx is None else {idx: img_stab // canonical_tuple(W, repW)[1]})
+    index, stabs = cxY.index[n], cxY.stabs[n]
+    for repW, stab in zip(cxW.bases[n], cxW.stabs[n]):
+        idx = index[canonical_tuple(Y, tuple(f[x] for x in repW))[0]]
+        cols.append({idx: stabs[idx] // stab})
     return cols
 
 

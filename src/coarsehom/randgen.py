@@ -292,11 +292,8 @@ def random_cospan(rng: Random, cfg: FuzzConfig = FuzzConfig()):
     return gmap, V, u, U, Z
 
 
-def random_invariant_subset(rng: Random, X: BornCoarseSpace, allow_empty=True):
-    orbits = X.carrier.orbits()
-    chosen = [orb for orb in orbits if rng.random() < 0.5]
-    if not chosen and not allow_empty and orbits:
-        chosen = [orbits[rng.randrange(len(orbits))]]
+def random_invariant_subset(rng: Random, X: BornCoarseSpace):
+    chosen = [orb for orb in X.carrier.orbits() if rng.random() < 0.5]
     return sorted(p for orb in chosen for p in orb)
 
 

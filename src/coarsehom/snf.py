@@ -529,31 +529,29 @@ class AbHom:
             raise ValidationError("composition shape mismatch")
         return AbHom(other.src, self.dst, mat_mul(self.matrix, other.matrix))
 
-    def _preimage_lattice(self):
-        """Columns spanning {x | M x lies in the relation lattice of dst}."""
-        a, b = self.src.ngens, self.dst.ngens
-        cols = [[self.matrix[i][j] for i in range(b)] for j in range(a)]
-        cols.extend(list(c) for c in self.dst.relations)
-        if b == 0:
-            return [[1 if i == j else 0 for i in range(a)] for j in range(a)]
-        A = [[cols[j][i] for j in range(len(cols))] for i in range(b)]
-        ker = kernel_basis(A, b, len(cols))
-        return [k[:a] for k in ker]
+    @cached_property
+    def _image_snf(self):
+        """SNF of [M | R], the image columns beside dst's relations, with
+        V tracked: every verdict below is read off it."""
+        R = self.dst.relations
+        dense = [list(row) + [c[i] for c in R] for i, row in enumerate(self.matrix)]
+        return smith_normal_form(dense, self.dst.ngens, self.src.ngens + len(R), track_v=True)
 
     def is_injective(self):
-        return all(self.src.is_zero(p) for p in self._preimage_lattice())
+        """The kernel of [M | R], cut to its first src.ngens coordinates,
+        is the preimage of dst's relation lattice; it must be zero in src."""
+        res = self._image_snf
+        a = self.src.ngens
+        pivot_cols = {pj for _pi, pj in res.pivots}
+        return all(
+            self.src.is_zero([res.v_cols[j].get(i, 0) for i in range(a)])
+            for j in range(res.n)
+            if j not in pivot_cols
+        )
 
     def is_surjective(self):
-        b = self.dst.ngens
-        if b == 0:
-            return True
-        cols = [[self.matrix[i][j] for i in range(b)] for j in range(self.src.ngens)]
-        cols.extend(list(c) for c in self.dst.relations)
-        if not cols:
-            return False
-        A = [[c[i] for c in cols] for i in range(b)]
-        res = smith_normal_form(A, b, len(cols))
-        return res.rank == b and all(d == 1 for d in res.divisors)
+        res = self._image_snf
+        return res.rank == self.dst.ngens and all(d == 1 for d in res.divisors)
 
     def is_isomorphism(self):
         return self.is_injective() and self.is_surjective()
@@ -572,10 +570,9 @@ class AbHom:
         make the left side |torsion(src)| |torsion(coker)|: K = 0.  The
         sum's invariants come from a diagonal presentation of both
         torsion lists, so src's relations are not reduced again."""
-        b = self.dst.ngens
-        image = [[row[j] for row in self.matrix] for j in range(self.src.ngens)]
-        coker = FPAbGroup(b, image + [list(c) for c in self.dst.relations])
-        torsion = self.src.torsion + coker.torsion
+        res = self._image_snf
+        coker_rank = self.dst.ngens - res.rank
+        torsion = self.src.torsion + [d for d in res.divisors if d > 1]
         diagonal = [[d if i == c else 0 for i in range(len(torsion))] for c, d in enumerate(torsion)]
         sum_torsion = FPAbGroup(len(torsion), diagonal).torsion
-        return self.dst.invariants() == (self.src.rank + coker.rank, tuple(sum_torsion))
+        return self.dst.invariants() == (self.src.rank + coker_rank, tuple(sum_torsion))

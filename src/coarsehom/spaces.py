@@ -260,13 +260,13 @@ def coproduct(parts, name=""):
     return _space_from_labels(gset, labels, name), offsets
 
 
-def min_space_of_gset(I: GSet, name=""):
-    return minimal_space(I, name=name or "I_min,min")
+def min_space_of_gset(I: GSet):
+    return minimal_space(I, name="I_min,min")
 
 
-def bounded_union(I: GSet, X: BornCoarseSpace, name=""):
+def bounded_union(I: GSet, X: BornCoarseSpace):
     """The bounded union of I copies of X: I_min,min tensor X."""
-    return tensor(min_space_of_gset(I), X, name=name or "bd_union")
+    return tensor(min_space_of_gset(I), X, name="bd_union")
 
 
 def free_union_copies(I: GSet, X: BornCoarseSpace, name=""):
@@ -278,9 +278,9 @@ def free_union_copies(I: GSet, X: BornCoarseSpace, name=""):
     return tensor(min_space_of_gset(I), X, name=name or "free_union")
 
 
-def free_union_family(parts, name=""):
+def free_union_family(parts):
     """Free union of a finite family over a trivially-acted index set."""
-    return coproduct(parts, name=name or "free_union")
+    return coproduct(parts, name="free_union")
 
 
 def _blocks_to_blocks(f, X: BornCoarseSpace, Y: BornCoarseSpace):

@@ -96,9 +96,9 @@ class TapeSpace:
         )
 
 
-def tape_bounded_union(X: BornCoarseSpace, born_preset="finite_window", name=""):
+def tape_bounded_union(X: BornCoarseSpace):
     """The bounded union over I = N of copies of X: N_min,min tensor X."""
-    return TapeSpace(X, "discrete", born_preset, name=name or "bd_union_N")
+    return TapeSpace(X, "discrete", "finite_window", name="bd_union_N")
 
 
 def tape_free_union(X: BornCoarseSpace, born_preset="finite_window", name=""):

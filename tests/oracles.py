@@ -12,7 +12,8 @@ cosets and orbit-category hom-sets by scans over every group element,
 equivariance pair by pair, the span layer's earlier predicates by
 quadratic pair sets, fiber products and component G-sets by the
 package's earlier hashed-tuple and per-element bodies, split
-injectivity as one integer linear system for a retraction, the dense
+injectivity as one integer linear system for a retraction, the
+preimage lattice of a homomorphism as an integer kernel, the dense
 identity and equality helpers, the unit and equality of Burnside
 spans, and associativity and the action law checked on every triple.
 """
@@ -1067,6 +1068,20 @@ def mat_eq(A, B):
 
 
 # -- split injectivity by an explicit retraction -------------------------------
+
+
+def preimage_lattice(hom):
+    """Columns spanning {x | M x lies in the relation lattice of dst}:
+    the kernel of [M | R], cut to its first src.ngens coordinates."""
+    from coarsehom.snf import kernel_basis
+
+    a, b = hom.src.ngens, hom.dst.ngens
+    cols = [[hom.matrix[i][j] for i in range(b)] for j in range(a)]
+    cols.extend(list(c) for c in hom.dst.relations)
+    if b == 0:
+        return [[1 if i == j else 0 for i in range(a)] for j in range(a)]
+    A = [[cols[j][i] for j in range(len(cols))] for i in range(b)]
+    return [k[:a] for k in kernel_basis(A, b, len(cols))]
 
 
 def oracle_is_split_injective(hom):

@@ -7,8 +7,6 @@ import subprocess
 import sys
 from random import Random
 
-import pytest
-
 from oracles import brute_force_homology, oracle_assembly_verdicts
 from coarsehom.axioms import (
     check_additivity,
@@ -32,7 +30,6 @@ from coarsehom.groups import (
 )
 from coarsehom.homology import (
     SpaceComplex,
-    hom_is_identity,
     hom_is_multiplication_by,
     induced_map,
     pullback_chain_cols,

@@ -23,7 +23,7 @@ from coarsehom.randgen import (
 )
 from coarsehom.homology import SpaceComplex, homology, pullback_chain_cols, space_complex
 from coarsehom.mackey import double_coset_check
-from coarsehom.spaces import bounded_union, coproduct, make_space, maximal_space, minimal_space
+from coarsehom.spaces import bounded_union, coproduct, maximal_space, minimal_space
 from coarsehom.spans import inclusion_at
 
 CFG = FuzzConfig(max_points=6, max_component=3)

@@ -30,9 +30,7 @@ from coarsehom.groups import (
     is_separating,
     orbit_category,
     product_gset,
-    subgroup_class_representatives,
     symmetric_group,
-    trivial_group,
     trivial_gset,
 )
 from coarsehom.mackey import compose_gfin_spans

@@ -12,8 +12,6 @@ from coarsehom.homology import (
     hom_is_multiplication_by,
     induced_map,
     pullback_chain_cols,
-    pushforward_chain_cols,
-    scols_apply,
     scols_eq,
     scols_mul,
     span_chain_cols,
@@ -32,11 +30,9 @@ from coarsehom.spaces import (
     make_space,
     maximal_space,
     minimal_space,
-    point_space,
 )
 from coarsehom.spans import (
     compose,
-    embed,
     fold_morphism,
     make_span,
     projection_map,

@@ -4,8 +4,6 @@ from random import Random
 from oracles import brute_force_homology, gfin_spans_equal, identity_gfin_span, oracle_assembly_verdicts
 from coarsehom.groups import (
     GROUP_PRESETS,
-    GSet,
-    all_subgroups,
     coset_gset,
     cyclic_group,
     disjoint_union_gsets,
@@ -19,7 +17,6 @@ from coarsehom.groups import (
 from coarsehom.mackey import (
     EMContext,
     _double_coset_spans,
-    EM_morphism,
     EM_object,
     GFinSpan,
     M,
@@ -34,7 +31,7 @@ from coarsehom.mackey import (
 )
 from coarsehom.randgen import FuzzConfig, random_gfin_span, random_gset, random_group
 from coarsehom.spans import is_admissible, AdmissibleSquareCandidate, make_span, pullback
-from coarsehom.spaces import spaces_isomorphic, tensor, coproduct, minimal_space
+from coarsehom.spaces import spaces_isomorphic, tensor, coproduct
 
 CFG = FuzzConfig(max_points=6)
 

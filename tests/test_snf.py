@@ -3,7 +3,14 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import mat_eq, mat_identity, oracle_is_split_injective, oracle_smith_normal_form
+from oracles import (
+    mat_eq,
+    mat_identity,
+    naive_smith,
+    oracle_is_split_injective,
+    oracle_smith_normal_form,
+    preimage_lattice,
+)
 
 from coarsehom import homology as homology_module
 from coarsehom import snf as snf_module
@@ -243,7 +250,7 @@ def _random_hom(rng):
     a, b = rng.randint(0, 3), rng.randint(0, 3)
     M = [[rng.randint(-3, 3) for _ in range(a)] for _ in range(b)]
     dst = FPAbGroup(b, [[rng.randint(-4, 4) for _ in range(b)] for _ in range(rng.randint(0, 3))])
-    lattice = AbHom(FPAbGroup(a, []), dst, M)._preimage_lattice()
+    lattice = preimage_lattice(AbHom(FPAbGroup(a, []), dst, M))
     mode = rng.choice(("all", "subset", "multiples"))
     if mode == "all":
         rels = lattice
@@ -265,6 +272,25 @@ def test_split_injectivity_matches_the_retraction_oracle():
         assert verdict == oracle_is_split_injective(h), (h.matrix, h.src.relations, h.dst.relations)
         seen.add((h.is_injective(), verdict))
     assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_injectivity_and_surjectivity_match_the_kernel_oracle():
+    """The verdicts read off one Smith form of [M | R] against the
+    preimage lattice (an integer kernel) and the textbook reduction,
+    including maps with no generators on either side."""
+    rng = Random("inject-surject")
+    seen = set()
+    for _ in range(800):
+        h = _random_hom(rng)
+        a, b = h.src.ngens, h.dst.ngens
+        injective = all(h.src.is_zero(p) for p in preimage_lattice(h))
+        block = [list(row) + [c[i] for c in h.dst.relations] for i, row in enumerate(h.matrix)]
+        divisors, rank = naive_smith(block) if b else ([], 0)
+        surjective = rank == b and all(d == 1 for d in divisors)
+        assert (h.is_injective(), h.is_surjective()) == (injective, surjective)
+        seen.add((injective, surjective, a == 0, b == 0))
+    assert {(i, s) for i, s, _a, _b in seen} == {(False, False), (False, True), (True, False), (True, True)}
+    assert any(a0 for *_v, a0, _b in seen) and any(b0 for *_v, _a, b0 in seen)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """The shared complex cache ``homology.space_complex``: sharing complexes
 between calls changes no result, no caller mutates a shared complex,
-space names do not split entries, and excision stays out of it."""
+space names do not split entries, and excision reads both of its
+complements from one entry."""
 
 from dataclasses import replace
 from random import Random
@@ -95,10 +96,9 @@ def test_shared_complexes_stay_unmodified(monkeypatch):
     built = []
     init = SpaceComplex.__init__
 
-    def recording_init(self, X, maxdeg, exclude=None):
-        init(self, X, maxdeg, exclude)
-        if exclude is None:
-            built.append(self)
+    def recording_init(self, X, maxdeg):
+        init(self, X, maxdeg)
+        built.append(self)
 
     monkeypatch.setattr(SpaceComplex, "__init__", recording_init)
     rng = Random(21)
@@ -117,7 +117,7 @@ def test_shared_complexes_stay_unmodified(monkeypatch):
     assert info.misses == len(built) and info.hits > 0
     for cx in built:
         fresh = SpaceComplex(cx.X, cx.N)
-        assert cx.bases == fresh.bases and cx.index == fresh.index
+        assert (cx.bases, cx.index, cx.stabs) == (fresh.bases, fresh.index, fresh.stabs)
         for n in range(1, cx.N + 2):
             assert cx.boundary_cols(n) == fresh.boundary_cols(n)
         for n in range(cx.N + 1):
@@ -137,11 +137,14 @@ def test_equal_spaces_with_different_names_share_one_entry(c2):
     assert space_complex.cache_info().currsize == 1
 
 
-def test_excision_makes_no_cache_request():
+def test_excision_reads_both_complements_from_one_entry():
+    """Z - Y and X - Y are one space: the second request hits the entry
+    the first one made."""
     rng = Random(5)
     for _ in range(5):
         X = random_space(rng, CFG)
         Z, Ys = random_complementary_pair(rng, X)
-        check_excision(X, Z, Ys, 2)
-    info = space_complex.cache_info()
-    assert info.hits + info.misses == 0
+        space_complex.cache_clear()
+        assert check_excision(X, Z, Ys, 2)[0]
+        info = space_complex.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)

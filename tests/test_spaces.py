@@ -1,7 +1,7 @@
 import pytest
 
 from coarsehom.errors import ValidationError
-from coarsehom.groups import GSet, cyclic_group, trivial_group, trivial_gset
+from coarsehom.groups import GSet, trivial_gset
 from coarsehom.spaces import (
     BornCoarseSpace,
     CoarseStructure,

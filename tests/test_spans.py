@@ -12,11 +12,9 @@ from coarsehom.spaces import (
     coproduct,
     empty_space,
     identity_map,
-    make_space,
     maximal_space,
     minimal_space,
     tensor,
-    trivial_gset as _tg,
 )
 from coarsehom.spans import (
     AdmissibleSquareCandidate,
@@ -25,7 +23,6 @@ from coarsehom.spans import (
     component_projection,
     compose,
     embed,
-    fold_morphism,
     hom_monoid_add,
     identity_span,
     is_admissible,

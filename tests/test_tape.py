@@ -3,10 +3,10 @@ from random import Random
 import pytest
 from oracles import oracle_has_entourage
 
-from coarsehom.errors import OutOfScopeError, ValidationError
-from coarsehom.groups import GSet, trivial_gset
+from coarsehom.errors import ValidationError
+from coarsehom.groups import trivial_gset
 from coarsehom.randgen import FuzzConfig, random_space
-from coarsehom.spaces import make_space, maximal_space, minimal_space, point_space
+from coarsehom.spaces import make_space, maximal_space, minimal_space
 from coarsehom.tape import (
     TapeEntourage,
     TapeMap,
@@ -109,7 +109,7 @@ def test_projection_is_bounded_covering(fiber):
 
 
 def test_projection_with_all_bornology_fails_condition_3(fiber):
-    T = tape_bounded_union(fiber, born_preset="all")
+    T = TapeSpace(fiber, "discrete", "all")
     proj = TapeMap("project", T, fiber, tuple(range(fiber.size)))
     ok, diag = tape_projection_is_bounded_covering(proj)
     assert not ok
