@@ -19,10 +19,14 @@ of component-constrained tuples, and f_* sums over fibers.  Homology
 is exact over Z via Smith normal form, computed slice by slice over
 G-orbits of coarse components (boundaries never mix slices).
 
-A complex depends only on its carrier and block labels (space equality
-ignores names and generators), and it memoizes its boundaries and
-homology data, so callers that read maps between the same spaces share
-complexes through ``space_complex``, a small module-level LRU cache.
+A complex builds nothing up front: each degree's basis, the slice
+tables, the boundaries and the homology data are built on first read
+and memoized, so a caller pays only for the degrees it reads.  A
+complex depends only on its carrier and block labels (space equality
+ignores names and generators), so callers that read maps between the
+same spaces share complexes through ``space_complex``, a small
+module-level LRU cache.  No memo refers back to its complex, so a
+complex is freed as soon as its last reference goes.
 Every complex is the full complex of a space; excision reads the
 complement of its coarsely closed member as a subspace.  Only
 ``homology``, which reads invariants and drops its complex, stays out
@@ -35,6 +39,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import InternalCheckError, OutOfScopeError, ValidationError
 from .snf import AbHom, FPAbGroup, smith_normal_form
@@ -120,11 +125,22 @@ def scols_apply(cols, vec, nrows):
 # -- the complex -------------------------------------------------------------
 
 
+class _Degree(NamedTuple):
+    """One degree of a complex: the canonical tuples of the basis orbits
+    in sorted order, their positions, and their stabilizer orders."""
+
+    basis: list
+    index: dict
+    stabs: list
+
+
 class SpaceComplex:
-    """Bases and boundaries of the invariant controlled chain complex of
-    X in degrees 0..maxdeg+1.  Per degree n: ``bases[n]`` lists the
-    canonical tuples of the basis orbits, ``index[n]`` numbers them and
-    ``stabs[n]`` holds their stabilizer orders."""
+    """The invariant controlled chain complex of X in degrees
+    0..maxdeg+1, built on first read: ``degree(n)`` enumerates degree n
+    once, ``boundary_cols`` and ``homology_data`` read only the degrees
+    they use, and the slice tables are built by the first
+    ``homology_data`` call.  Every memo is a plain dict of values that
+    hold no reference back to the complex."""
 
     def __init__(self, X: BornCoarseSpace, maxdeg):
         _require_finite(X, "chain complexes")
@@ -132,24 +148,41 @@ class SpaceComplex:
             raise ValidationError(f"chain complexes need a degree >= 0, got {maxdeg}")
         self.X = X
         self.N = maxdeg
-        self.bases = []
-        self.index = []
-        self.stabs = []
-        for n in range(maxdeg + 2):
-            basis = chain_basis(X, n)
-            self.bases.append(list(basis))
-            self.index.append({t: i for i, t in enumerate(basis)})
-            self.stabs.append(list(basis.values()))
-        # slice = G-orbit of coarse components, read off the first entry
-        comps, comp_of = components_gset(X)
-        orbits = comps.orbits()
-        slice_of_comp = {c: s for s, orbit in enumerate(orbits) for c in orbit}
-        self.nslices = len(orbits)
-        self.slice_of = [
-            [slice_of_comp[comp_of[t[0]]] for t in basis] for basis in self.bases
-        ]
+        self._degrees = {}
+        self._slices = {}
+        self._point_slice = None
         self._boundaries = {}
         self._hom = {}
+
+    def degree(self, n):
+        """The basis, index and stabilizer orders of degree n, from one
+        ``chain_basis`` call on first read."""
+        deg = self._degrees.get(n)
+        if deg is None:
+            if not 0 <= n <= self.N + 1:
+                raise ValidationError("chain degree out of range")
+            basis = chain_basis(self.X, n)
+            deg = _Degree(list(basis), {t: i for i, t in enumerate(basis)}, list(basis.values()))
+            self._degrees[n] = deg
+        return deg
+
+    def _rows_by_slice(self, n):
+        """Per slice, the ascending positions of the degree-n basis orbits
+        in it.  A slice is a G-orbit of coarse components, read off a
+        tuple's first entry."""
+        rows = self._slices.get(n)
+        if rows is None:
+            if self._point_slice is None:
+                comps, comp_of = components_gset(self.X)
+                orbits = comps.orbits()
+                slice_of_comp = {c: s for s, orbit in enumerate(orbits) for c in orbit}
+                self._point_slice = ([slice_of_comp[c] for c in comp_of], len(orbits))
+            point_slice, nslices = self._point_slice
+            rows = [[] for _ in range(nslices)]
+            for i, t in enumerate(self.degree(n).basis):
+                rows[point_slice[t[0]]].append(i)
+            self._slices[n] = rows
+        return rows
 
     def boundary_cols(self, n):
         """Columns of d_n: C_n -> C_{n-1} in the orbit bases."""
@@ -158,9 +191,10 @@ class SpaceComplex:
         if n == 0 or n > self.N + 1:
             raise ValidationError("boundary degree out of range")
         cols = []
-        lower, lower_stabs = self.index[n - 1], self.stabs[n - 1]
+        _, lower, lower_stabs = self.degree(n - 1)
+        upper = self.degree(n)
         transporters = self.X.carrier.transporters
-        for rep, stab in zip(self.bases[n], self.stabs[n]):
+        for rep, stab in zip(upper.basis, upper.stabs):
             if len(transporters[rep[0]]) == 1:
                 # rep[0] is a free point, least in its orbit: every face
                 # that keeps rep[0] is canonical
@@ -197,9 +231,9 @@ class SpaceComplex:
         if not (0 <= n <= self.N):
             raise ValidationError("homology degree out of range")
         slices = []
-        for s in range(self.nslices):
-            rows = [i for i, sl in enumerate(self.slice_of[n]) if sl == s]
-            cols_np1 = [j for j, sl in enumerate(self.slice_of[n + 1]) if sl == s]
+        rows_by_slice = self._rows_by_slice(n)
+        upper_by_slice = self._rows_by_slice(n - 1) if n else None
+        for s, (rows, cols_np1) in enumerate(zip(rows_by_slice, self._rows_by_slice(n + 1))):
             row_pos = {r: k for k, r in enumerate(rows)}
             m_local = len(rows)
             if m_local == 0:
@@ -211,7 +245,7 @@ class SpaceComplex:
                 K = [{j: 1} for j in kernel_cols]
                 vinv_cols = [{j: 1} for j in kernel_cols]
             else:
-                upper_rows = [i for i, sl in enumerate(self.slice_of[n - 1]) if sl == s]
+                upper_rows = upper_by_slice[s]
                 upos = {r: k for k, r in enumerate(upper_rows)}
                 dn = self.boundary_cols(n)
                 dense = [[0] * m_local for _ in range(len(upper_rows))]
@@ -259,11 +293,12 @@ class SpaceComplex:
         # canonical_generators enumerates kept coordinates in coordinate
         # order, matching the global order; push them down to chains
         cycles = []
+        size = len(self.degree(n).basis)
         for sl in slices:
             if sl.fp is None:
                 continue
             for local_vec in sl.fp.canonical_generators():
-                chain = [0] * len(self.bases[n])
+                chain = [0] * size
                 loc = scols_apply(sl.K, local_vec, len(sl.rows))
                 for k, r in enumerate(sl.rows):
                     chain[r] = loc[k]
@@ -386,9 +421,9 @@ def pullback_chain_cols(w, W: BornCoarseSpace, X: BornCoarseSpace, cxW, cxX, n):
     """w^*: C_n(X) -> C_n(W) for a bounded covering w (columns over the
     X-basis).  The pullback is cut by the characteristic function of
     component-constrained tuples, identically 1 on basis orbits."""
-    cols = [dict() for _ in cxX.bases[n]]
-    index = cxX.index[n]
-    for row, repW in enumerate(cxW.bases[n]):
+    index = cxX.degree(n).index
+    cols = [dict() for _ in index]
+    for row, repW in enumerate(cxW.degree(n).basis):
         cols[index[canonical_tuple(X, tuple(w[x] for x in repW))[0]]][row] = 1
     return cols
 
@@ -396,8 +431,9 @@ def pullback_chain_cols(w, W: BornCoarseSpace, X: BornCoarseSpace, cxW, cxX, n):
 def pushforward_chain_cols(f, W: BornCoarseSpace, Y: BornCoarseSpace, cxW, cxY, n):
     """f_*: C_n(W) -> C_n(Y) for a controlled proper map: fiber sums."""
     cols = []
-    index, stabs = cxY.index[n], cxY.stabs[n]
-    for repW, stab in zip(cxW.bases[n], cxW.stabs[n]):
+    _, index, stabs = cxY.degree(n)
+    degW = cxW.degree(n)
+    for repW, stab in zip(degW.basis, degW.stabs):
         idx = index[canonical_tuple(Y, tuple(f[x] for x in repW))[0]]
         cols.append({idx: stabs[idx] // stab})
     return cols
@@ -428,7 +464,7 @@ def homology_map_from_chain_cols(cols, cx_src, cx_dst, n):
     hY = cx_dst.homology_data(n)
     matrix = [[0] * hX.group.ngens for _ in range(hY.group.ngens)]
     for gi, cycle in enumerate(hX.gen_cycles):
-        img = scols_apply(cols, cycle, len(cx_dst.bases[n]))
+        img = scols_apply(cols, cycle, len(cx_dst.degree(n).basis))
         for i, c in enumerate(hY.class_of(img)):
             matrix[i][gi] = c
     return AbHom(hX.group, hY.group, matrix)
@@ -480,7 +516,7 @@ def pushforward_chain(f, W: BornCoarseSpace, Y: BornCoarseSpace, vec, n):
     cxW = SpaceComplex(W, n)
     cxY = SpaceComplex(Y, n)
     cols = pushforward_chain_cols(f, W, Y, cxW, cxY, n)
-    return scols_apply(cols, vec, len(cxY.bases[n]))
+    return scols_apply(cols, vec, len(cxY.degree(n).basis))
 
 
 def transfer_chain(w, W: BornCoarseSpace, X: BornCoarseSpace, vec, n):
@@ -493,7 +529,7 @@ def transfer_chain(w, W: BornCoarseSpace, X: BornCoarseSpace, vec, n):
     cxW = SpaceComplex(W, n)
     cxX = SpaceComplex(X, n)
     cols = pullback_chain_cols(w, W, X, cxW, cxX, n)
-    return scols_apply(cols, vec, len(cxW.bases[n]))
+    return scols_apply(cols, vec, len(cxW.degree(n).basis))
 
 
 def hom_is_identity(h: AbHom):

@@ -502,6 +502,7 @@ class AbHom:
         for col in self.src.relations:
             if not self.dst.is_zero(mat_vec(self.matrix, col)):
                 raise ValidationError("matrix does not descend to the quotients")
+        self._snf = None
 
     def apply(self, v):
         v = list(v)
@@ -529,18 +530,23 @@ class AbHom:
             raise ValidationError("composition shape mismatch")
         return AbHom(other.src, self.dst, mat_mul(self.matrix, other.matrix))
 
-    @cached_property
-    def _image_snf(self):
-        """SNF of [M | R], the image columns beside dst's relations, with
-        V tracked: every verdict below is read off it."""
-        R = self.dst.relations
-        dense = [list(row) + [c[i] for c in R] for i, row in enumerate(self.matrix)]
-        return smith_normal_form(dense, self.dst.ngens, self.src.ngens + len(R), track_v=True)
+    def _image_snf(self, track_v):
+        """SNF of [M | R], the image columns beside dst's relations.  Its
+        divisors decide surjectivity and splitting, so those read
+        whichever form is cached; only ``is_injective`` needs V, and asks
+        for it first where both are read (``mackey.assembly``)."""
+        res = self._snf
+        if res is None or (track_v and res.v_cols is None):
+            R = self.dst.relations
+            dense = [list(row) + [c[i] for c in R] for i, row in enumerate(self.matrix)]
+            ncols = self.src.ngens + len(R)
+            res = self._snf = smith_normal_form(dense, self.dst.ngens, ncols, track_v=track_v)
+        return res
 
     def is_injective(self):
         """The kernel of [M | R], cut to its first src.ngens coordinates,
         is the preimage of dst's relation lattice; it must be zero in src."""
-        res = self._image_snf
+        res = self._image_snf(True)
         a = self.src.ngens
         pivot_cols = {pj for _pi, pj in res.pivots}
         return all(
@@ -550,11 +556,14 @@ class AbHom:
         )
 
     def is_surjective(self):
-        res = self._image_snf
+        res = self._image_snf(False)
         return res.rank == self.dst.ngens and all(d == 1 for d in res.divisors)
 
     def is_isomorphism(self):
-        return self.is_injective() and self.is_surjective()
+        """Equal invariants and surjective.  Finitely generated abelian
+        groups are Hopfian (a surjective endomorphism is an isomorphism),
+        so a surjection between isomorphic ones is injective."""
+        return self.src.invariants() == self.dst.invariants() and self.is_surjective()
 
     def is_split_injective(self):
         """Is there a beta with beta . alpha = id on src?  Decided by
@@ -570,7 +579,7 @@ class AbHom:
         make the left side |torsion(src)| |torsion(coker)|: K = 0.  The
         sum's invariants come from a diagonal presentation of both
         torsion lists, so src's relations are not reduced again."""
-        res = self._image_snf
+        res = self._image_snf(False)
         coker_rank = self.dst.ngens - res.rank
         torsion = self.src.torsion + [d for d in res.divisors if d > 1]
         diagonal = [[d if i == c else 0 for i in range(len(torsion))] for c, d in enumerate(torsion)]

@@ -671,9 +671,10 @@ def weak_transfer_projection_cols(X, j, cxX, cxW, n):
     by hand: an orbit of tuples that lies in copy j (points j*|X| + x)
     goes to the orbit of its X-coordinates, every other orbit to 0."""
     cols = []
-    for rep in cxW.bases[n]:
+    index = cxX.degree(n).index
+    for rep in cxW.degree(n).basis:
         if all(p // X.size == j for p in rep):
-            cols.append({cxX.index[n][tuple(p % X.size for p in rep)]: 1})
+            cols.append({index[tuple(p % X.size for p in rep)]: 1})
         else:
             cols.append({})
     return cols

@@ -117,3 +117,25 @@ def test_every_cache_is_one_the_bench_clears():
             assert any(obj is c for c in cleared), f"{path.stem}.{name} is not cleared per pass"
             found.append(f"{path.stem}.{name}")
     assert {"groups._cosets", "groups._coset_space", "groups.all_subgroups"} <= set(found)
+
+
+def test_cached_degree_pre_hooks_read_the_complex_memos(triv):
+    """``_cached_degree`` reads a complex's memo dicts by attribute name
+    (``_boundaries``, ``_hom``); a renamed memo passes the name check
+    above and crashes every traced run."""
+    from coarsehom.groups import trivial_gset
+    from coarsehom.homology import SpaceComplex
+    from coarsehom.spaces import maximal_space
+
+    tracer = _load_tracer()
+    pre_hooks = {
+        qual: pre
+        for _module, qual, _bucket, _hook, pre in tracer.TARGETS
+        if qual.startswith("SpaceComplex.") and pre is not None
+    }
+    assert set(pre_hooks) == {"SpaceComplex.boundary_cols", "SpaceComplex.homology_data"}
+    cx = SpaceComplex(maximal_space(trivial_gset(triv, 2)), 1)
+    assert isinstance(cx._boundaries, dict) and isinstance(cx._hom, dict)
+    assert not any(pre((cx, 1), {}) for pre in pre_hooks.values())
+    cx.homology_data(1)
+    assert all(pre((cx, 1), {}) for pre in pre_hooks.values())

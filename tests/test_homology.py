@@ -74,8 +74,8 @@ def test_boundary_point_alternates(pt):
 def test_boundary_sign_convention(triv):
     X = maximal_space(trivial_gset(triv, 2))
     cx = SpaceComplex(X, 1)
-    col = cx.boundary_cols(1)[cx.index[1][(0, 1)]]
-    assert col == {cx.index[0][(1,)]: 1, cx.index[0][(0,)]: -1}
+    col = cx.boundary_cols(1)[cx.degree(1).index[(0, 1)]]
+    assert col == {cx.degree(0).index[(1,)]: 1, cx.degree(0).index[(0,)]: -1}
 
 
 def test_dd_zero_random():
@@ -123,15 +123,15 @@ def test_homology_does_not_depend_on_block_labels(c2):
 
 def test_class_of_rejects_non_cycle(triv):
     cx = SpaceComplex(maximal_space(trivial_gset(triv, 3)), 1)
-    chain = [0] * len(cx.bases[1])
-    chain[cx.index[1][(0, 1)]] = 1  # boundary (1) - (0) is not zero
+    chain = [0] * len(cx.degree(1).basis)
+    chain[cx.degree(1).index[(0, 1)]] = 1  # boundary (1) - (0) is not zero
     with pytest.raises(ValidationError):
         cx.homology_data(1).class_of(chain)
 
 
 def test_corrupted_boundary_trips_cycle_self_check(triv, monkeypatch):
     cx = SpaceComplex(maximal_space(trivial_gset(triv, 3)), 1)
-    not_a_cycle = {cx.index[1][(0, 1)]: 1}
+    not_a_cycle = {cx.degree(1).index[(0, 1)]: 1}
     real = SpaceComplex.boundary_cols
 
     def corrupted(self, n):
@@ -301,15 +301,15 @@ def test_transfer_splits_as_identity_plus_smaller_transfer(triv, three_min):
         # block j = 2 of tr3: rows supported on the last copy, relabeled;
         # blocks 0 and 1 share their point indices with the smaller union
         j = 2
-        rest = [dict() for _ in range(len(cxX.bases[n]))]
+        rest = [dict() for _ in range(len(cxX.degree(n).basis))]
         for col_idx, col in enumerate(tr3):
             for row, v in col.items():
-                rep = cx3.bases[n][row]
+                rep = cx3.degree(n).basis[row]
                 if all(p // X.size == j for p in rep):
                     xrep = tuple(p % X.size for p in rep)
-                    assert cxX.index[n][xrep] == col_idx and v == 1
+                    assert cxX.degree(n).index[xrep] == col_idx and v == 1
                 else:
-                    rest[col_idx][cx2.index[n][rep]] = v
+                    rest[col_idx][cx2.degree(n).index[rep]] = v
         assert scols_eq(rest, tr2)
 
 

@@ -288,9 +288,58 @@ def test_injectivity_and_surjectivity_match_the_kernel_oracle():
         divisors, rank = naive_smith(block) if b else ([], 0)
         surjective = rank == b and all(d == 1 for d in divisors)
         assert (h.is_injective(), h.is_surjective()) == (injective, surjective)
+        # isomorphism from invariants and surjectivity (Hopfian), read
+        # on a fresh hom so that no Smith form is cached
+        assert AbHom(h.src, h.dst, h.matrix).is_isomorphism() == (injective and surjective)
         seen.add((injective, surjective, a == 0, b == 0))
     assert {(i, s) for i, s, _a, _b in seen} == {(False, False), (False, True), (True, False), (True, True)}
     assert any(a0 for *_v, a0, _b in seen) and any(b0 for *_v, _a, b0 in seen)
+
+
+def _image_snf_calls(monkeypatch):
+    """Record track_v of every Smith form that leaves U untracked.  In
+    the verdicts those are the forms of [M | R]: ``FPAbGroup`` tracks U."""
+    calls = []
+    real = snf_module.smith_normal_form
+
+    def recording(dense, m=None, n=None, track_u=False, track_v=False):
+        if not track_u:
+            calls.append(track_v)
+        return real(dense, m, n, track_u=track_u, track_v=track_v)
+
+    monkeypatch.setattr(snf_module, "smith_normal_form", recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "verdicts, expected",
+    [
+        (("is_injective", "is_split_injective", "is_surjective", "is_isomorphism"), [True]),
+        (("is_split_injective", "is_surjective", "is_isomorphism"), [False]),
+        (("is_surjective", "is_split_injective"), [False]),
+    ],
+)
+def test_verdicts_share_one_smith_form(monkeypatch, verdicts, expected):
+    """Surjectivity, splitting and isomorphism read the divisors of any
+    cached Smith form of [M | R]; only injectivity needs V.  Injective
+    first, as ``mackey.assembly`` asks, runs one tracked form and nothing
+    after it; without injectivity one untracked form serves every verdict."""
+    Z, Z2 = FPAbGroup(1, []), FPAbGroup(1, [[2]])
+    h = AbHom(Z, FPAbGroup(2, [[0, 2]]), [[1], [0]])
+    other = AbHom(Z2, Z2, [[1]])
+    calls = _image_snf_calls(monkeypatch)
+    for name in verdicts:
+        getattr(h, name)()
+        getattr(other, name)()
+    assert calls == expected * 2
+
+
+def test_isomorphism_with_unequal_invariants_runs_no_smith_form(monkeypatch):
+    calls = _image_snf_calls(monkeypatch)
+    Z, Z2 = FPAbGroup(1, []), FPAbGroup(1, [[2]])
+    assert not AbHom(Z, Z2, [[1]]).is_isomorphism()
+    assert not AbHom(Z, FPAbGroup(2, []), [[1], [0]]).is_isomorphism()
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -117,7 +117,8 @@ def test_shared_complexes_stay_unmodified(monkeypatch):
     assert info.misses == len(built) and info.hits > 0
     for cx in built:
         fresh = SpaceComplex(cx.X, cx.N)
-        assert (cx.bases, cx.index, cx.stabs) == (fresh.bases, fresh.index, fresh.stabs)
+        for n in range(cx.N + 2):
+            assert cx.degree(n) == fresh.degree(n)
         for n in range(1, cx.N + 2):
             assert cx.boundary_cols(n) == fresh.boundary_cols(n)
         for n in range(cx.N + 1):
