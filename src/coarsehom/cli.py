@@ -208,15 +208,15 @@ def parse_workspace(doc):
                 errs.add(ptr, "dangling reference")
                 continue
             if isinstance(apex, TP.TapeSpace):
-                ws.spans[name] = SPN.make_span(src, apex, dst, left, right)
-            else:
-                if left[1] != apexn or left[2] != srcn:
-                    errs.add(ptr + "/left", "left map must run apex -> src")
-                    continue
-                if right[1] != apexn or right[2] != dstn:
-                    errs.add(ptr + "/right", "right map must run apex -> dst")
-                    continue
-                ws.spans[name] = SPN.make_span(src, apex, dst, left[3], right[3])
+                errs.add(ptr + "/apex", "a span apex must be a finite space")
+                continue
+            if left[1] != apexn or left[2] != srcn:
+                errs.add(ptr + "/left", "left map must run apex -> src")
+                continue
+            if right[1] != apexn or right[2] != dstn:
+                errs.add(ptr + "/right", "right map must run apex -> dst")
+                continue
+            ws.spans[name] = SPN.make_span(src, apex, dst, left[3], right[3])
         except (ValidationError, TypeError, ValueError, KeyError) as e:
             errs.add(ptr, str(e))
 
@@ -340,8 +340,6 @@ def cmd_homology(args, ws, out):
 
 def cmd_induced_map(args, ws, out):
     name, span = _pick(ws.spans, args.name, "span")
-    if not span.is_finite():
-        raise OutOfScopeError("induced maps need finite carriers")
     homs = induced_map(span, args.max_degree)
     rows = []
     mats = []
@@ -652,17 +650,12 @@ def _fuzz_case_chains(case):
     cxY = SpaceComplex(s1.dst, N)
     wu = tuple(s1.left[u[i]] for i in range(P.size))
     for n in range(N + 1):
-        lhs = scols_mul(
-            pullback_chain_cols(u, P, s1.apex, cxP, cxW, n),
-            pullback_chain_cols(s1.left, s1.apex, s1.src, cxW, cxX, n),
-        )
+        u_star = pullback_chain_cols(u, P, s1.apex, cxP, cxW, n)
+        lhs = scols_mul(u_star, pullback_chain_cols(s1.left, s1.apex, s1.src, cxW, cxX, n))
         rhs = pullback_chain_cols(wu, P, s1.src, cxP, cxX, n)
         if not scols_eq(lhs, rhs):
             return False
-        lhs2 = scols_mul(
-            pushforward_chain_cols(h, P, s2.apex, cxP, cxV, n),
-            pullback_chain_cols(u, P, s1.apex, cxP, cxW, n),
-        )
+        lhs2 = scols_mul(pushforward_chain_cols(h, P, s2.apex, cxP, cxV, n), u_star)
         rhs2 = scols_mul(
             pullback_chain_cols(s2.left, s2.apex, s1.dst, cxV, cxY, n),
             pushforward_chain_cols(s1.right, s1.apex, s1.dst, cxW, cxY, n),

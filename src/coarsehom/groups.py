@@ -640,18 +640,6 @@ class OrbitCategory:
     objects: tuple  # GSet per object
     homs: dict = field(compare=False)  # (i, j) -> tuple of OrbitMorphism
 
-    def hom(self, i, j):
-        return self.homs[(i, j)]
-
-    def identity(self, i):
-        return OrbitMorphism(i, i, tuple(range(self.objects[i].size)))
-
-    def compose(self, f: OrbitMorphism, g: OrbitMorphism):
-        """g after f."""
-        if f.dst != g.src:
-            raise ValidationError("morphisms are not composable")
-        return OrbitMorphism(f.src, g.dst, tuple(g.images[x] for x in f.images))
-
     def all_morphisms(self):
         n = len(self.objects)
         for i in range(n):
@@ -659,13 +647,11 @@ class OrbitCategory:
                 yield from self.homs[(i, j)]
 
 
-def orbit_category(group, family="all"):
+def orbit_category(group, family):
     """Or_F(G) on class representatives.  A map G/H -> G/K is determined
     by the image p = gK of the coset H, which must be an H-fixed point
     (g^-1 H g <= K); then xH -> x.p.  So Hom(G/H, G/K) has one map per
     point of (G/K)^H: one g per coset gK."""
-    if family == "all":
-        family = family_all(group)
     reps = family.class_representatives()
     objects = tuple(coset_gset(group, H) for H in reps)
     homs = {}

@@ -234,12 +234,9 @@ class SpaceComplex:
         rows_by_slice = self._rows_by_slice(n)
         upper_by_slice = self._rows_by_slice(n - 1) if n else None
         for s, (rows, cols_np1) in enumerate(zip(rows_by_slice, self._rows_by_slice(n + 1))):
-            row_pos = {r: k for k, r in enumerate(rows)}
+            # never empty: the tuple (m, ..., m) at the least point m of a
+            # carrier orbit that meets the slice is a basis orbit
             m_local = len(rows)
-            if m_local == 0:
-                slices.append(_SliceHom(s, rows, [], None, None))
-                continue
-
             if n == 0:
                 kernel_cols = list(range(m_local))
                 K = [{j: 1} for j in kernel_cols]
@@ -260,25 +257,22 @@ class SpaceComplex:
                 for r, vinv_row in enumerate(res.vinv_rows):
                     for k, v in vinv_row.items():
                         vinv_cols[k][r] = v
-            kdim = len(kernel_cols)
-            solver = _CycleCoords(vinv_cols, kernel_cols, row_pos)
+            sl = _SliceHom(rows, K, vinv_cols, kernel_cols)
 
             dnp1 = self.boundary_cols(n + 1)
             img_coords = []
             for j in cols_np1:
-                x = solver.coords(dnp1[j])
+                x = sl.coords(dnp1[j])
                 if x is None:
                     raise InternalCheckError("boundary image is not a cycle")
                 img_coords.append(x)
-            fp = FPAbGroup(kdim, img_coords)
-            slices.append(_SliceHom(s, rows, K, solver, fp))
+            sl.fp = FPAbGroup(len(kernel_cols), img_coords)
+            slices.append(sl)
 
         # global canonical presentation: the kept coordinates (divisor
         # not 1) of every slice, in slice then coordinate order
         total = []
         for sl in slices:
-            if sl.fp is None:
-                continue
             sl.keep = [i for i in range(sl.fp.ngens) if sl.fp._coord_divisor[i] != 1]
             for i in sl.keep:
                 total.append(sl.fp._coord_divisor[i])
@@ -295,8 +289,6 @@ class SpaceComplex:
         cycles = []
         size = len(self.degree(n).basis)
         for sl in slices:
-            if sl.fp is None:
-                continue
             for local_vec in sl.fp.canonical_generators():
                 chain = [0] * size
                 loc = scols_apply(sl.K, local_vec, len(sl.rows))
@@ -308,8 +300,12 @@ class SpaceComplex:
         return data
 
 
-class _CycleCoords:
-    """Kernel coordinates of cycles in one slice.
+class _SliceHom:
+    """Homology data of one slice: its ascending basis positions
+    ``rows``, the kernel basis ``K`` of d_n (sparse columns), and, set by
+    ``homology_data``, the presentation ``fp`` of the kernel modulo the
+    boundaries and the positions ``keep`` of its coordinates whose
+    divisor is not 1.
 
     The V^-1-coordinates of a chain c are sum_k c_k (column k of V^-1);
     c is a cycle iff they vanish at every pivot position, and then the
@@ -317,10 +313,12 @@ class _CycleCoords:
     kernel basis.
     """
 
-    def __init__(self, vinv_cols, kernel_cols, row_pos):
+    def __init__(self, rows, K, vinv_cols, kernel_cols):
+        self.rows = rows
+        self.K = K
         self.vinv_cols = vinv_cols
         self.kernel_pos = {j: k for k, j in enumerate(kernel_cols)}
-        self.row_pos = row_pos
+        self.row_pos = {r: k for k, r in enumerate(rows)}
 
     def coords(self, col):
         """Kernel coordinates of a chain given as a sparse column over
@@ -344,16 +342,6 @@ class _CycleCoords:
         return out
 
 
-class _SliceHom:
-    def __init__(self, slice_id, rows, K, solver, fp):
-        self.slice_id = slice_id
-        self.rows = rows
-        self.K = K
-        self.solver = solver
-        self.fp = fp
-        self.keep = []
-
-
 @dataclass
 class _HomologyGroup:
     """Homology data of one degree.  It holds no reference back to its
@@ -368,9 +356,7 @@ class _HomologyGroup:
         """Canonical coordinates of a cycle's homology class."""
         out = []
         for sl in self.slices:
-            if sl.fp is None:
-                continue
-            x = sl.solver.coords({r: chain[r] for r in sl.rows})
+            x = sl.coords({r: chain[r] for r in sl.rows})
             if x is None:
                 raise ValidationError("chain is not a cycle")
             red = sl.fp.reduce(x)

@@ -44,7 +44,10 @@ class FuzzConfig:
     max_points: int = 8
     max_component: int = 3
     max_copies: int = 2
-    density: float = 0.35
+
+
+# ``random_space`` draws about DENSITY * 2 * n candidate pairs on n points
+DENSITY = 0.35
 
 
 GROUP_CATALOG = (
@@ -104,7 +107,7 @@ def random_space(rng: Random, cfg: FuzzConfig = FuzzConfig(), group=None):
         return x
 
     gens = []
-    for _ in range(max(1, int(cfg.density * n * 2))):
+    for _ in range(max(1, int(DENSITY * n * 2))):
         if n < 2:
             break
         a, b = rng.randrange(n), rng.randrange(n)

@@ -438,17 +438,6 @@ class FPAbGroup:
     def equal(self, v, w):
         return self.reduce(v) == self.reduce(w)
 
-    def is_trivial(self):
-        return self.rank == 0 and not self.torsion
-
-    def order(self):
-        if self.rank > 0:
-            return None
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
-
     def invariants(self):
         """(rank, torsion coefficients in divisibility order)."""
         return (self.rank, tuple(self.torsion))
@@ -503,12 +492,6 @@ class AbHom:
             if not self.dst.is_zero(mat_vec(self.matrix, col)):
                 raise ValidationError("matrix does not descend to the quotients")
         self._snf = None
-
-    def apply(self, v):
-        v = list(v)
-        if len(v) != self.src.ngens:
-            raise ValidationError(f"element has {len(v)} entries for {self.src.ngens} generators")
-        return mat_vec(self.matrix, v)
 
     def agrees_with(self, matrix):
         """Does ``matrix`` send every generator of src where this map

@@ -10,8 +10,8 @@ bornologicity are trivially true for maps between finite spaces; the
 predicates still run uniformly.
 
 Entourages are plain frozensets of index pairs, checked against the
-carrier size; they appear only where a user hands one in (``make_space``
-generators, ``contains``).  Predicates (controlledness, the covering
+carrier size; they appear only where a user hands one in, as
+``make_space`` generators.  Predicates (controlledness, the covering
 conditions, isomorphism of spaces) read the block labels instead, in
 O(|G| n) for a carrier of n points, and the constructors build block
 labels.
@@ -100,11 +100,6 @@ class CoarseStructure:
             if self.block[a] == self.block[b]
         )
 
-    def contains(self, U):
-        """Membership test: U is an entourage iff U lies inside the closure."""
-        _check_pairs(U, self.size)
-        return all(self.block[a] == self.block[b] for (a, b) in U)
-
     def components(self):
         """Blocks as sorted tuples, ordered by minimal point."""
         out = {}
@@ -149,9 +144,6 @@ class BornCoarseSpace:
     @property
     def size(self):
         return self.carrier.size
-
-    def is_finite(self):
-        return True
 
     def components(self):
         return self.coarse.components()

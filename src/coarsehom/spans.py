@@ -7,6 +7,11 @@ morphisms are isomorphism classes of spans; composition pulls the
 middle cospan back to an admissible square.  Equality of classes is
 decided by an explicit equivariant isomorphism search on apexes.
 
+Spans live on finite carriers: source, apex and target are finite
+spaces and the legs are image tuples.  Tape spaces enter only the
+bounded-covering check, which decides a tape projection against the
+preset bounded family.
+
 Legs are validated once, where they enter: ``make_span``, ``transfer``
 and ``embed`` check the maps they are given, and ``pullback`` checks its
 cospan.  What is built from checked pieces is trusted, apart from the
@@ -120,16 +125,11 @@ class Span:
     """A span (apex, left, right) from src to dst; left is a bounded
     covering, right is controlled, proper and bornological."""
 
-    src: object
-    apex: object
-    dst: object
-    left: object
-    right: object
-
-    def is_finite(self):
-        return all(
-            isinstance(s, BornCoarseSpace) for s in (self.src, self.apex, self.dst)
-        )
+    src: BornCoarseSpace
+    apex: BornCoarseSpace
+    dst: BornCoarseSpace
+    left: tuple  # apex -> src
+    right: tuple  # apex -> dst
 
 
 def make_span(src, apex, dst, left, right):
@@ -138,21 +138,13 @@ def make_span(src, apex, dst, left, right):
     ok, diag = is_bounded_covering(left, apex, src)
     if not ok:
         raise ValidationError(f"left leg is not a bounded covering: {diag}")
-    if isinstance(apex, TapeSpace):
-        if not isinstance(right, TapeMap):
-            raise ValidationError("map from a tape apex must be a TapeMap")
-        c, p, b = tape_map_predicates(right)
-    else:
-        c, p, b = map_predicates(right, apex, dst)
+    c, p, b = map_predicates(right, apex, dst)
     if not (c and p and b):
         raise ValidationError("right leg must be controlled, proper and bornological")
     return Span(src, apex, dst, left, right)
 
 
 def identity_span(X):
-    if isinstance(X, TapeSpace):
-        ident = TapeMap("shift", X, X, tuple(range(X.fiber.size)), 0)
-        return Span(X, X, X, ident, ident)
     ident = identity_map(X)
     return Span(X, X, X, ident, ident)
 
@@ -177,9 +169,6 @@ def transfer(w, W, X):
     ok, diag = is_bounded_covering(w, W, X)
     if not ok:
         raise ValidationError(f"transfer requires a bounded covering: {diag}")
-    if isinstance(W, TapeSpace):
-        ident = TapeMap("shift", W, W, tuple(range(W.fiber.size)), 0)
-        return Span(X, W, W, w, ident)
     return Span(X, W, W, tuple(w), identity_map(W))
 
 
@@ -350,8 +339,6 @@ def compose(s1: Span, s2: Span):
     the middle cospan; returns the canonical representative span."""
     if s1.dst != s2.src:
         raise ValidationError("span endpoints do not match")
-    if not (s1.is_finite() and s2.is_finite()):
-        raise OutOfScopeError("span composition is implemented for finite carriers")
     P, wp, fp = pullback(s1.right, s1.apex, s2.left, s2.apex, s1.dst)
     left = compose_maps(wp, s1.left)
     right = compose_maps(fp, s2.right)
@@ -367,8 +354,6 @@ def hom_monoid_add(s1: Span, s2: Span):
     componentwise; the unit is the empty span."""
     if s1.src != s2.src or s1.dst != s2.dst:
         raise ValidationError("span endpoints do not match")
-    if not (s1.is_finite() and s2.is_finite()):
-        raise OutOfScopeError("hom-monoid sums are implemented for finite carriers")
     apex, offsets = coproduct([s1.apex, s2.apex])
     left = tuple(list(s1.left) + list(s2.left))
     right = tuple(list(s1.right) + list(s2.right))
@@ -381,23 +366,6 @@ def spans_isomorphic(s1: Span, s2: Span):
     preserving apex bijection commuting with both legs."""
     if s1.src != s2.src or s1.dst != s2.dst:
         raise ValidationError("span endpoints do not match")
-    if isinstance(s1.apex, TapeSpace) or isinstance(s2.apex, TapeSpace):
-        if not (isinstance(s1.apex, TapeSpace) and isinstance(s2.apex, TapeSpace)):
-            return False
-        a, b = s1.apex, s2.apex
-        if (a.coarse_preset, a.born_preset) != (b.coarse_preset, b.born_preset):
-            return False
-        # preset-aware fiber comparison: fibers with commuting fiber legs
-        la, ra = s1.left, s1.right
-        lb, rb = s2.left, s2.right
-
-        def fibleg(m):
-            return tuple(m.fiber_images) if isinstance(m, TapeMap) else None
-
-        def allowed(p, q):
-            return fibleg(la)[p] == fibleg(lb)[q] and fibleg(ra)[p] == fibleg(rb)[q]
-
-        return find_space_isomorphism(a.fiber, b.fiber, allowed) is not None
 
     def allowed(p, q):
         return s1.left[p] == s2.left[q] and s1.right[p] == s2.right[q]

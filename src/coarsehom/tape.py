@@ -4,9 +4,11 @@ infinite spaces in scope.
 The group acts on the finite fiber only.  Coarse presets on the N
 direction are "discrete" (diagonal) and "band" (all |i-j| <= r);
 bornology presets are "finite_window" (bounded iff the N-image is
-finite) and "all".  Entourages are symbolic: a band part (radius,
-fiber relation) plus a finite exception set, so membership is O(1).
-Arbitrary symbolic entourages outside this class are rejected.
+finite) and "all".  Entourages are symbolic bands: a radius and a
+fiber relation.  Structure membership, map predicates, the covering
+check of a projection and the flasqueness witness are decided from
+these presets and the fiber's block labels.  Tape spaces are not span
+apexes and carry no homology.
 """
 
 from __future__ import annotations
@@ -22,23 +24,11 @@ INF = None  # infinite band radius marker
 
 @dataclass(frozen=True)
 class TapeEntourage:
-    """Pairs ((i,x),(j,y)) with |i-j| <= radius and (x,y) in fiber_rel,
-    together with finitely many explicit extra pairs.  radius None means
-    no bound on |i-j|."""
+    """Pairs ((i,x),(j,y)) with |i-j| <= radius and (x,y) in fiber_rel.
+    radius None means no bound on |i-j|."""
 
     radius: object  # int >= 0 or None
     fiber_rel: frozenset
-    extra: frozenset = frozenset()
-
-    def contains(self, p, q):
-        (i, x), (j, y) = p, q
-        if (self.radius is INF or abs(i - j) <= self.radius) and (x, y) in self.fiber_rel:
-            return True
-        return (p, q) in self.extra
-
-
-def band(radius, fiber_rel):
-    return TapeEntourage(radius, frozenset(fiber_rel))
 
 
 @dataclass(frozen=True)
@@ -60,9 +50,6 @@ class TapeSpace:
     def group(self):
         return self.fiber.group
 
-    def is_finite(self):
-        return False
-
     def has_entourage(self, U: TapeEntourage):
         """Structure membership for the symbolic entourage class.  A fiber
         pair (x, y) is allowed iff x and y are points of one fiber block;
@@ -75,12 +62,8 @@ class TapeSpace:
 
         in_blocks = all(related(x, y) for (x, y) in U.fiber_rel)
         if self.coarse_preset == "discrete":
-            band_ok = (U.radius == 0 and in_blocks) or not U.fiber_rel
-            extra_ok = all(i == j and related(x, y) for ((i, x), (j, y)) in U.extra)
-        else:
-            band_ok = (U.radius is not INF and in_blocks) or not U.fiber_rel
-            extra_ok = all(related(x, y) for ((i, x), (j, y)) in U.extra)
-        return band_ok and extra_ok
+            return (U.radius == 0 and in_blocks) or not U.fiber_rel
+        return (U.radius is not INF and in_blocks) or not U.fiber_rel
 
     def components_symbolic(self):
         """("per_index", fiber blocks) for discrete (components {i} x block),
@@ -142,12 +125,6 @@ class TapeMap:
                 raise ValidationError("tape map is not equivariant")
         else:
             raise ValidationError(f"unknown tape map kind {self.kind!r}")
-
-    def apply(self, point):
-        i, x = point
-        if self.kind == "project":
-            return self.fiber_images[x]
-        return (i + self.shift, self.fiber_images[x])
 
 
 def tape_map_predicates(f: TapeMap):

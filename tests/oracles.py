@@ -1007,12 +1007,8 @@ def oracle_has_entourage(T, U):
     the fiber pairs in the fiber closure, built as a pair set."""
     R = T.fiber.coarse.closure_entourage()
     if T.coarse_preset == "discrete":
-        band_ok = (U.radius == 0 and U.fiber_rel <= R) or not U.fiber_rel
-        extra_ok = all(i == j and (x, y) in R for ((i, x), (j, y)) in U.extra)
-    else:
-        band_ok = (U.radius is not None and U.fiber_rel <= R) or not U.fiber_rel
-        extra_ok = all((x, y) in R for ((i, x), (j, y)) in U.extra)
-    return band_ok and extra_ok
+        return (U.radius == 0 and U.fiber_rel <= R) or not U.fiber_rel
+    return (U.radius is not None and U.fiber_rel <= R) or not U.fiber_rel
 
 
 # -- admissible squares, map by map ------------------------------------------

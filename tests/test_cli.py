@@ -391,6 +391,21 @@ def test_malformed_workspace_exits_2_with_pointer(tmp_path, capsys, command, doc
     assert pointer in captured.err
 
 
+@pytest.mark.parametrize("argv", [["run"], ["induced-map", "--name", "tape_tr"]])
+def test_tape_apex_span_exits_2_with_pointer(tmp_path, capsys, argv):
+    """Spans live on finite carriers: a tape apex is rejected where the
+    workspace is read, although its legs are a covering and a proper map."""
+    doc = _with(["maps", "tbd_id"], {"src": "Tbd", "dst": "Tbd", "kind": "shift", "shift": 0, "fiber_images": [0, 1, 2]})
+    doc["spans"]["tape_tr"] = {"src": "Y", "apex": "Tbd", "dst": "Tbd", "left": "tape_proj", "right": "tbd_id"}
+    p = tmp_path / "tape_apex.json"
+    p.write_text(json.dumps(doc))
+    rc = main([argv[0], str(p), *argv[1:]])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "/spans/tape_tr/apex: a span apex must be a finite space" in captured.err
+
+
 def test_run_parses_the_workspace_once(monkeypatch):
     import coarsehom.cli as cli
 

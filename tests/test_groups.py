@@ -193,52 +193,58 @@ def test_family_validation_rejects_non_closed(c2):
 
 
 def test_orbit_category_c2(c2):
-    cat = orbit_category(c2)
+    cat = orbit_category(c2, family_all(c2))
     # objects ordered by subgroup order: G/e then G/C2
     assert [o.size for o in cat.objects] == [2, 1]
-    assert len(cat.hom(0, 0)) == 2
-    assert len(cat.hom(1, 0)) == 0
+    assert len(cat.homs[(0, 0)]) == 2
+    assert len(cat.homs[(1, 0)]) == 0
     # terminal object: exactly one map to G/G from anywhere
-    assert len(cat.hom(0, 1)) == 1
-    assert len(cat.hom(1, 1)) == 1
+    assert len(cat.homs[(0, 1)]) == 1
+    assert len(cat.homs[(1, 1)]) == 1
 
 
 def test_orbit_category_s3_trivial_family(s3):
     cat = orbit_category(s3, family_trivial(s3))
     assert len(cat.objects) == 1
-    assert len(cat.hom(0, 0)) == 6  # the Weyl group of the trivial subgroup
+    assert len(cat.homs[(0, 0)]) == 6  # the Weyl group of the trivial subgroup
 
 
 @pytest.mark.parametrize("gfn", [lambda: cyclic_group(2), lambda: cyclic_group(4), lambda: symmetric_group(3)])
 def test_orbit_category_associative_and_unital(gfn):
+    """Morphisms compose as image tuples, h after f being
+    tuple(h.images[x] for x in f.images); every composite is a listed
+    morphism, the identities are units and composition is associative."""
     g = gfn()
-    cat = orbit_category(g)
+    cat = orbit_category(g, family_all(g))
     n = len(cat.objects)
+    images = {ij: {f.images for f in fs} for ij, fs in cat.homs.items()}
+    ids = [tuple(range(o.size)) for o in cat.objects]
     for i in range(n):
+        assert ids[i] in images[(i, i)]
         for j in range(n):
-            for f in cat.hom(i, j):
-                assert cat.compose(cat.identity(i), f).images == f.images
-                assert cat.compose(f, cat.identity(j)).images == f.images
+            for f in cat.homs[(i, j)]:
+                assert tuple(f.images[x] for x in ids[i]) == f.images
+                assert tuple(ids[j][y] for y in f.images) == f.images
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 for l in range(n):
-                    for f in cat.hom(i, j):
-                        for h in cat.hom(j, k):
-                            for e in cat.hom(k, l):
-                                assert (
-                                    cat.compose(cat.compose(f, h), e).images
-                                    == cat.compose(f, cat.compose(h, e)).images
-                                )
+                    for f in cat.homs[(i, j)]:
+                        for h in cat.homs[(j, k)]:
+                            hf = tuple(h.images[x] for x in f.images)
+                            assert hf in images[(i, k)]
+                            for e in cat.homs[(k, l)]:
+                                eh = tuple(e.images[y] for y in h.images)
+                                assert tuple(e.images[y] for y in hf) == tuple(eh[x] for x in f.images)
 
 
 def test_terminal_object_in_every_orbit_category():
     for g in (cyclic_group(3), symmetric_group(3)):
-        cat = orbit_category(g)
+        cat = orbit_category(g, family_all(g))
         top = len(cat.objects) - 1
         assert cat.objects[top].size == 1
         for i in range(len(cat.objects)):
-            assert len(cat.hom(i, top)) == 1
+            assert len(cat.homs[(i, top)]) == 1
 
 
 def test_stabilizer_and_fixed_points(c2):

@@ -104,3 +104,27 @@ def test_a_complex_dies_with_its_last_reference():
             assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+def test_every_slice_has_a_basis_orbit_in_every_degree():
+    """``homology_data`` relies on this: in every degree 0..N+1, each
+    slice (a G-orbit of coarse components) holds the basis tuple
+    (m, ..., m) at the least point m of each carrier orbit meeting it."""
+    rng = Random(23)
+    for _ in range(60):
+        X = random_space(rng, CFG)
+        act, elements = X.carrier.action, X.group.elements()
+        slices = {
+            frozenset(frozenset(act[g][x] for x in comp) for g in elements)
+            for comp in X.components()
+        }
+        least = {min(act[g][x] for g in elements) for x in range(X.size)}
+        cx = SpaceComplex(X, N)
+        for n in range(N + 2):
+            basis = cx.degree(n).basis
+            rows = cx._rows_by_slice(n)
+            assert len(rows) == len(slices)
+            for sl in rows:
+                diagonal = {basis[r][0] for r in sl if len(set(basis[r])) == 1}
+                meeting = {basis[r][0] for r in sl}
+                assert diagonal and diagonal == least & meeting

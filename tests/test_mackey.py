@@ -30,6 +30,7 @@ from coarsehom.mackey import (
     transfer_span,
 )
 from coarsehom.randgen import FuzzConfig, random_gfin_span, random_gset, random_group
+from coarsehom.snf import mat_vec
 from coarsehom.spans import is_admissible, AdmissibleSquareCandidate, make_span, pullback
 from coarsehom.spaces import spaces_isomorphic, tensor, coproduct
 
@@ -193,7 +194,7 @@ def test_em_additive_biproduct(c2):
         for mixed in (em_iS.compose(em_pT), em_iT.compose(em_pS)):
             for j in range(mixed.src.ngens):
                 basis_vec = [1 if i == j else 0 for i in range(mixed.src.ngens)]
-                assert mixed.dst.is_zero(mixed.apply(basis_vec))
+                assert mixed.dst.is_zero(mat_vec(mixed.matrix, basis_vec))
         # sum of the two round trips is the identity on EM(ST)
         rt = hom_sum([em_pS.compose(em_iS), em_pT.compose(em_iT)])
         assert hom_is_identity(rt)
@@ -252,7 +253,7 @@ def test_assembly_agrees_with_oracle_small_groups():
 
 def test_assembly_higher_degree_trivial(c2):
     r = assembly(c2, family_trivial(c2), 1)
-    assert r.colimit.is_trivial() and r.target.is_trivial()
+    assert r.colimit.invariants() == (0, ()) and r.target.invariants() == (0, ())
     assert r.injective and r.split
 
 

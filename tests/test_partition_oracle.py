@@ -198,7 +198,7 @@ def test_no_structure_builds_its_pair_set(monkeypatch, pt, three_min, chain3, fr
             tape_projection_is_bounded_covering(proj)
             tape_map_predicates(TapeMap("shift", T, T, tuple(range(X.size)), 1))
             rel = frozenset((x, x) for x in range(X.size)) | {(0, X.size - 1)}
-            T.has_entourage(TapeEntourage(0, rel, frozenset({((1, 0), (1, 0))})))
+            T.has_entourage(TapeEntourage(0, rel))
     rng = Random(7)
     for X in (pt, three_min, chain3, free2_min):
         random_span(rng, X, CFG)

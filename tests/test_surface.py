@@ -1,9 +1,11 @@
 """Every public module-level function and class of the package has a
 caller outside its own definition: in the package, the scripts, the
 benchmark harness or the README's library example.  Tests do not count,
-since a name only its own tests reach delivers nothing.  The benchmark
-tracer wraps library functions by name, so a string constant equal to a
-name counts as a reference.
+since a name only its own tests reach delivers nothing.  Every public
+method of a package class is read as an attribute in the same sources,
+outside its own definition.  The benchmark tracer wraps library
+functions and methods by (qualified) name, so there, and only there, a
+string constant names what it wraps.
 
 The same sources must pass every defaulted parameter of a package
 function somewhere, and no test module may import a name it never
@@ -15,6 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "coarsehom"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 # names kept although nothing outside the tests calls them
 EXEMPT = {
@@ -39,22 +42,32 @@ EXEMPT_PARAMETERS = {
 
 
 def _sources():
+    """(tree, whether its string constants name what they wrap) per source."""
     paths = sorted(PACKAGE.glob("*.py"))
     paths += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     readme = (ROOT / "README.md").read_text()
-    sources = [p.read_text() for p in paths] + re.findall(r"```python\n(.*?)```", readme, re.S)
-    return [ast.parse(source) for source in sources]
+    out = [(ast.parse(p.read_text()), p == TRACER) for p in paths]
+    out += [(ast.parse(block), False) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
+    return out
 
 
-def _names_used(node):
-    """Names, attributes and string constants read anywhere under node."""
+def _wrapped(node):
+    """The names in a string constant that wraps by qualified name."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value.split(".")
+    return []
+
+
+def _names_used(node, strings):
+    """Names and attributes read anywhere under node, and the names in
+    its string constants where ``strings`` holds."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             yield sub.id
         elif isinstance(sub, ast.Attribute):
             yield sub.attr
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            yield sub.value
+        elif strings:
+            yield from _wrapped(sub)
 
 
 def _public_definitions():
@@ -71,10 +84,10 @@ def _used_names():
     reference inside a name's definition (recursion, a class naming
     itself) does not count for that name."""
     used = set()
-    for tree in _sources():
+    for tree, strings in _sources():
         for top in tree.body:
             own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
-            used.update(name for name in _names_used(top) if name != own)
+            used.update(name for name in _names_used(top, strings) if name != own)
     return used
 
 
@@ -86,6 +99,47 @@ def test_every_public_name_has_a_caller():
         if name not in used and name not in EXEMPT
     ]
     assert not unreached, f"public names nothing reaches: {unreached}"
+
+
+def _public_methods():
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if isinstance(cls, ast.ClassDef):
+                out += [
+                    (path.name, cls.name, f.name)
+                    for f in cls.body
+                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+                ]
+    return out
+
+
+def _attributes_read(node, strings, enclosing=()):
+    """(attribute name, names of the functions around the read) for every
+    attribute read under node, string-wrapped names included where
+    ``strings`` holds."""
+    if isinstance(node, ast.FunctionDef):
+        enclosing += (node.name,)
+    if isinstance(node, ast.Attribute):
+        yield node.attr, enclosing
+    elif strings:
+        for name in _wrapped(node):
+            yield name, enclosing
+    for child in ast.iter_child_nodes(node):
+        yield from _attributes_read(child, strings, enclosing)
+
+
+def test_every_public_method_is_read():
+    """A read inside a function of the method's own name (its definition,
+    or a recursive call) does not count."""
+    read = {
+        name
+        for tree, strings in _sources()
+        for name, enclosing in _attributes_read(tree, strings)
+        if name not in enclosing
+    }
+    unread = [f"{m}:{cls}.{name}" for m, cls, name in _public_methods() if name not in read]
+    assert not unread, f"public methods nothing reads: {unread}"
 
 
 def test_exemptions_are_still_needed():
@@ -129,7 +183,7 @@ def _passed_parameters():
     (unbounded with a starred argument), and the keywords it passes
     (``**`` for a double-starred one)."""
     positional, keywords = {}, {}
-    for tree in _sources():
+    for tree, _strings in _sources():
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
                 continue
